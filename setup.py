@@ -1,10 +1,10 @@
 """Legacy setup shim.
 
-The offline environments this repo targets may lack the ``wheel`` package
-that PEP 660 editable installs require; with this shim and no
-``[build-system]`` table in pyproject.toml, ``pip install -e .`` falls back
-to the classic setuptools develop install, which works with setuptools
-alone. All project metadata lives in pyproject.toml.
+All project metadata lives in pyproject.toml, which has no
+``[build-system]`` table so that setuptools' legacy path keeps working:
+``python setup.py develop`` installs the package and its ``repro``
+console script with setuptools alone, where a PEP 517/660 install through
+pip also needs the ``wheel`` package.
 """
 
 from setuptools import setup

@@ -11,10 +11,11 @@ concrete systems on ``n_x < n`` points.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
+from repro import obs
 from repro.designs.catalog import Existence, existence, min_lambda
 from repro.util.combinatorics import binom, lcm_many
 
@@ -123,13 +124,38 @@ def select_subsystem(
     return Subsystem(r=r, x=x, chunks=tuple(chunks), tier=tier)
 
 
-@lru_cache(maxsize=None)
+class _OrderTable(NamedTuple):
+    """Admissible orders of one ``(r, t, tier, max_mu)`` key, ``v <= scanned``.
+
+    The three tuples run in descending ``v``; ``neg_v`` holds ``-v`` so
+    :func:`bisect.bisect_left` finds the first order at most a budget.
+    """
+
+    scanned: int
+    pairs: Tuple[Tuple[int, int], ...]
+    neg_v: Tuple[int, ...]
+    gains: Tuple[int, ...]  # C(v, t)
+
+
+# Existence does not depend on the requested bound, so each key is probed
+# once per order: a larger request scans only the orders above ``scanned``.
+_ORDER_TABLES: Dict[Tuple[int, int, Existence, int], _OrderTable] = {}
+
+
 def _admissible_orders(
     r: int, t: int, max_v: int, tier: Existence, max_mu: int
 ) -> Tuple[Tuple[int, int], ...]:
     """(v, mu) pairs admitting a ``t-(v, r, mu)`` design, mu <= max_mu, descending v."""
+    key = (r, t, tier, max_mu)
+    table = _ORDER_TABLES.get(key)
+    if table is None:
+        table = _OrderTable(r - 1, (), (), ())
+    if max_v <= table.scanned:
+        obs.count("subsystems.orders.hits")
+        return table.pairs[bisect_left(table.neg_v, -max_v):]
+    obs.count("subsystems.orders.extends")
     pairs: List[Tuple[int, int]] = []
-    for v in range(max_v, r - 1, -1):
+    for v in range(max_v, table.scanned, -1):
         if max_mu == 1:
             if existence(v, r, t) >= tier:
                 pairs.append((v, 1))
@@ -137,7 +163,14 @@ def _admissible_orders(
             mu = min_lambda(v, r, t, max_mu, tier=tier)
             if mu is not None:
                 pairs.append((v, mu))
-    return tuple(pairs)
+    table = _OrderTable(
+        scanned=max_v,
+        pairs=tuple(pairs) + table.pairs,
+        neg_v=tuple(-v for v, _ in pairs) + table.neg_v,
+        gains=tuple(binom(v, t) for v, _ in pairs) + table.gains,
+    )
+    _ORDER_TABLES[key] = table
+    return table.pairs
 
 
 def best_chunk_decomposition(
@@ -154,35 +187,35 @@ def best_chunk_decomposition(
     unit lambda), which is what the search maximizes. Branch and bound over
     orders in descending size: since ``C(v, t)`` is increasing in ``v``, the
     remaining-chunk bound ``slots * C(v_current, t)`` prunes aggressively.
+    Each level bisects straight to the first order within the remaining
+    budget.
     """
-    orders = _admissible_orders(r, t, n, tier, max_mu)
-    if not orders:
+    if not _admissible_orders(r, t, n, tier, max_mu):
         return []
+    # Scanned to at least n now; bisecting on the budget skips larger orders.
+    table = _ORDER_TABLES[(r, t, tier, max_mu)]
+    pairs, neg_v, gains = table.pairs, table.neg_v, table.gains
+    end = len(pairs)
     best_value = 0
-    best_combo: List[Tuple[int, int]] = []
+    best_combo: List[int] = []
 
-    def recurse(
-        budget: int, slots: int, start: int, value: int, combo: List[Tuple[int, int]]
-    ) -> None:
+    def recurse(budget: int, slots: int, start: int, value: int, combo: List[int]) -> None:
         nonlocal best_value, best_combo
         if value > best_value:
             best_value = value
             best_combo = list(combo)
         if slots == 0:
             return
-        for i in range(start, len(orders)):
-            v, mu = orders[i]
-            if v > budget:
-                continue
-            gain = binom(v, t)
+        for i in range(bisect_left(neg_v, -budget, start), end):
+            gain = gains[i]
             if value + gain * slots <= best_value:
                 break  # orders are descending; nothing later can catch up
-            combo.append((v, mu))
-            recurse(budget - v, slots - 1, i, value + gain, combo)
+            combo.append(i)
+            recurse(budget - pairs[i][0], slots - 1, i, value + gain, combo)
             combo.pop()
 
     recurse(n, max_chunks, 0, 0, [])
-    return [Chunk(nx=v, mu=mu) for v, mu in best_combo]
+    return [Chunk(nx=pairs[i][0], mu=pairs[i][1]) for i in best_combo]
 
 
 def ideal_capacity_numerator(n: int, t: int) -> int:

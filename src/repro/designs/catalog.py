@@ -30,6 +30,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.designs.affine import affine_geometry_design
 from repro.designs.blocks import BlockDesign, DesignError, divisibility_conditions_hold
 from repro.designs.difference_family import (
+    TABLE_MAX_V,
     cyclic_2design,
     difference_family_constructible,
 )
@@ -71,12 +72,11 @@ _SPORADIC_KNOWN: Dict[Tuple[int, int], Tuple[int, ...]] = {
 
 _DLX_SEARCH_LIMIT = 20  # max v for exact-cover fallback construction
 _DLX_NODE_BUDGET = 4_000_000
-# Max v for the cyclic difference-family probe. Above this the bounded
-# search spends seconds before giving up on orders with no (findable)
-# family, so the catalog stops claiming constructibility rather than pay
-# that on every cold existence query. (All probes below 64 settle in
-# under ~1.5 s and are cached for the process lifetime.)
-_DIFFERENCE_FAMILY_LIMIT = 64
+# Max v for the cyclic difference-family probe: the orders whose families
+# are tabulated, so a catalog query never runs the backtracking search.
+# Above it the catalog stops claiming constructibility (Hanani's theorem
+# still puts those orders at KNOWN).
+_DIFFERENCE_FAMILY_LIMIT = TABLE_MAX_V
 
 
 def existence(v: int, r: int, t: int, lam: int = 1) -> Existence:

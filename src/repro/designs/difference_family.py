@@ -6,20 +6,50 @@ exactly once (so ``t * r * (r - 1) = v - 1``). Developing each base block
 through all ``v`` translations yields a cyclic ``2-(v, r, 1)`` design.
 
 This widens the constructible slice of the catalog beyond the geometric
-families: e.g. ``2-(25, 4, 1)`` and ``2-(37, 4, 1)`` (v = 1 mod 12) and
-``2-(41, 5, 1)`` (v = 1 mod 20) come from difference families found here by
-backtracking search. Search results are verified and cached; a budget keeps
-the existence probe cheap enough to sit inside catalog queries.
+families: e.g. ``2-(37, 4, 1)`` and ``2-(49, 4, 1)`` (v = 1 mod 12) and
+``2-(41, 5, 1)`` (v = 1 mod 20) come from difference families.
+
+The families are fixed combinatorial objects, so the ones the catalog
+needs are tabulated: :data:`TABULATED_FAMILIES` holds the base blocks the
+backtracking search finds for every admissible ``(v, r)`` with
+``r in {4, 5}`` and ``v <= 64``, and leaves out the pairs where it finds
+none. A default-budget lookup in that scope answers from the table; an
+explicit ``max_nodes`` runs the search, which stays as the oracle the
+table is tested against and as the fallback for pairs outside it.
+:func:`cyclic_2design` verifies every family it develops, tabulated or
+searched, as a ``2-(v, r, 1)`` design.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
+from repro import obs
 from repro.designs.blocks import Block, BlockDesign, DesignError
 
 _DEFAULT_BUDGET = 500_000
+
+#: Tabulated scope: admissible ``(v, r)`` with ``r`` in :data:`TABLE_BLOCK_SIZES`
+#: and ``v <= TABLE_MAX_V``.
+TABLE_BLOCK_SIZES = (4, 5)
+TABLE_MAX_V = 64
+
+#: The family the default-budget search finds for each pair in scope that
+#: has one; it finds none for the pairs left out (``(25, 4)``). The test
+#: suite re-derives both facts from the search.
+TABULATED_FAMILIES: Dict[Tuple[int, int], Tuple[Block, ...]] = {
+    (13, 4): ((0, 1, 3, 9),),
+    (37, 4): ((0, 1, 3, 24), (0, 4, 9, 15), (0, 7, 17, 25)),
+    (49, 4): ((0, 1, 3, 8), (0, 4, 18, 29), (0, 6, 21, 33), (0, 9, 19, 32)),
+    (61, 4): (
+        (0, 1, 3, 7), (0, 5, 13, 34), (0, 9, 26, 42), (0, 10, 24, 46),
+        (0, 11, 23, 41),
+    ),
+    (21, 5): ((0, 1, 4, 14, 16),),
+    (41, 5): ((0, 1, 4, 11, 29), (0, 2, 8, 17, 22)),
+    (61, 5): ((0, 1, 3, 13, 34), (0, 4, 9, 23, 45), (0, 6, 17, 24, 32)),
+}
 
 
 def difference_family_admissible(v: int, r: int) -> bool:
@@ -33,9 +63,13 @@ def difference_family_admissible(v: int, r: int) -> bool:
 
 @lru_cache(maxsize=None)
 def find_difference_family(
-    v: int, r: int, max_nodes: int = _DEFAULT_BUDGET
+    v: int, r: int, max_nodes: Optional[int] = None
 ) -> Optional[Tuple[Block, ...]]:
-    """Search for a ``(v, r, 1)`` difference family; ``None`` if none found.
+    """A ``(v, r, 1)`` difference family; ``None`` if none found.
+
+    With the default budget (``max_nodes=None``) a pair in the tabulated
+    scope is answered from :data:`TABULATED_FAMILIES`; any other call
+    runs the search.
 
     Backtracking over base blocks normalized to contain 0 with ascending
     elements; the difference set is tracked incrementally, and blocks are
@@ -46,6 +80,12 @@ def find_difference_family(
     """
     if not difference_family_admissible(v, r):
         return None
+    if max_nodes is None:
+        if r in TABLE_BLOCK_SIZES and v <= TABLE_MAX_V:
+            obs.count("designs.difference_family.table_hits")
+            return TABULATED_FAMILIES.get((v, r))
+        max_nodes = _DEFAULT_BUDGET
+    obs.count("designs.difference_family.searches")
     num_blocks = (v - 1) // (r * (r - 1))
     used: Set[int] = set()
     blocks: List[List[int]] = []
@@ -133,7 +173,7 @@ def develop_difference_family(
 
 
 @lru_cache(maxsize=None)
-def cyclic_2design(v: int, r: int, max_nodes: int = _DEFAULT_BUDGET) -> BlockDesign:
+def cyclic_2design(v: int, r: int, max_nodes: Optional[int] = None) -> BlockDesign:
     """A cyclic ``2-(v, r, 1)`` design via difference family, fully verified."""
     family = find_difference_family(v, r, max_nodes)
     if family is None:

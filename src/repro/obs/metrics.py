@@ -146,6 +146,14 @@ CATALOG: Dict[str, Instrument] = {
         _c("kernel.dispatch.numpy", "gain kernels built on the numpy rung"),
         _c("kernel.dispatch.bitset", "gain kernels built on the bitset rung"),
         _c("kernel.dispatch.python", "gain kernels built on the python rung"),
+        _c("subsystems.orders.hits",
+           "admissible-order requests answered from the scanned prefix"),
+        _c("subsystems.orders.extends",
+           "admissible-order requests that scanned new orders"),
+        _c("designs.difference_family.table_hits",
+           "difference families answered from the checked-in table"),
+        _c("designs.difference_family.searches",
+           "difference-family backtracking searches run"),
         _c("store.cells_loaded", "cells served from a stored run prefix"),
         _c("store.cells_recomputed",
            "stored cells re-executed because their shard straddled the prefix"),

@@ -1,17 +1,47 @@
 """Tests for subsystem selection and capacity-gap computation."""
 
-import pytest
+from functools import lru_cache
+from itertools import combinations_with_replacement
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import subsystems
 from repro.core.subsystems import (
     Chunk,
     Subsystem,
+    _admissible_orders,
     best_chunk_decomposition,
     capacity_gap,
     select_combo_subsystems,
     select_subsystem,
 )
-from repro.designs.catalog import Existence
+from repro.designs.catalog import Existence, min_lambda
 from repro.util.combinatorics import binom
+
+# (r, t, tier, max_mu) keys as fig5 (mu = 1) and fig6 (mu > 1) use them.
+ORDER_KEYS = [
+    (3, 2, Existence.KNOWN, 1),
+    (4, 2, Existence.KNOWN, 1),
+    (4, 3, Existence.KNOWN, 1),
+    (5, 2, Existence.KNOWN, 1),
+    (5, 3, Existence.KNOWN, 1),
+    (5, 4, Existence.CONSTRUCTIBLE, 1),
+    (5, 3, Existence.DIVISIBILITY, 5),
+    (5, 4, Existence.DIVISIBILITY, 10),
+]
+
+
+@lru_cache(maxsize=None)
+def _scan_orders(r, t, max_v, tier, max_mu):
+    """Fresh descending scan of every order v <= max_v, no shared state."""
+    pairs = []
+    for v in range(max_v, r - 1, -1):
+        mu = min_lambda(v, r, t, max_mu, tier=tier)
+        if mu is not None:
+            pairs.append((v, mu))
+    return tuple(pairs)
 
 
 class TestSubsystem:
@@ -132,3 +162,57 @@ class TestCapacityGap:
     def test_partition_gap(self):
         assert capacity_gap(71, 3, 0) == pytest.approx(1 - 69 / 71)
         assert capacity_gap(72, 3, 0) == 0.0
+
+
+class TestOrderCache:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        key=st.sampled_from(ORDER_KEYS),
+        requests=st.lists(st.integers(0, 160), min_size=1, max_size=12),
+    )
+    def test_interleaved_requests_match_fresh_scan(self, key, requests):
+        subsystems._ORDER_TABLES.pop(key, None)
+        r, t, tier, max_mu = key
+        for max_v in requests:
+            assert _admissible_orders(r, t, max_v, tier, max_mu) == _scan_orders(
+                r, t, max_v, tier, max_mu
+            )
+
+
+def _brute_decomposition(n, r, t, tier, max_mu, max_chunks):
+    """The best <= max_chunks multiset of orders fitting in n, by enumeration.
+
+    Best is the largest ``sum C(v, t)``; among equal values the search
+    keeps the lexicographically largest list of descending chunk sizes.
+    """
+    orders = _scan_orders(r, t, n, tier, max_mu)
+    candidates = [
+        combo
+        for size in range(max_chunks + 1)
+        for combo in combinations_with_replacement(orders, size)
+        if sum(v for v, _ in combo) <= n
+    ]
+    best = max(
+        candidates,
+        key=lambda combo: (sum(binom(v, t) for v, _ in combo), [v for v, _ in combo]),
+    )
+    return [Chunk(nx=v, mu=mu) for v, mu in best]
+
+
+class TestChunkDecompositionExactness:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        key=st.sampled_from(ORDER_KEYS),
+        n=st.integers(1, 70),
+        max_chunks=st.integers(1, 3),
+    )
+    def test_matches_brute_force(self, key, n, max_chunks):
+        r, t, tier, max_mu = key
+        chunks = best_chunk_decomposition(
+            n, r, t, tier=tier, max_mu=max_mu, max_chunks=max_chunks
+        )
+        expected = _brute_decomposition(n, r, t, tier, max_mu, max_chunks)
+        assert chunks == expected
+        assert sum(binom(c.nx, t) for c in chunks) == sum(
+            binom(c.nx, t) for c in expected
+        )

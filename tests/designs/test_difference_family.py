@@ -3,13 +3,24 @@
 import pytest
 
 from repro.designs.blocks import DesignError
+from repro.designs.catalog import _DIFFERENCE_FAMILY_LIMIT
 from repro.designs.difference_family import (
+    _DEFAULT_BUDGET,
+    TABULATED_FAMILIES,
     cyclic_2design,
     develop_difference_family,
     difference_family_admissible,
     difference_family_constructible,
     find_difference_family,
 )
+
+# Every pair the catalog may probe: the scope the table must cover.
+CATALOG_PAIRS = [
+    (v, r)
+    for r in (4, 5)
+    for v in range(r + 1, _DIFFERENCE_FAMILY_LIMIT + 1)
+    if difference_family_admissible(v, r)
+]
 
 
 class TestAdmissibility:
@@ -95,3 +106,33 @@ class TestCatalogIntegration:
 
         # 73 = 1 mod 12 exists (Hanani) but the probe limit excludes it.
         assert existence(73, 4, 2) == Existence.KNOWN
+
+
+class TestTable:
+    """The checked-in families against the search they were taken from."""
+
+    def test_scope(self):
+        assert CATALOG_PAIRS == [
+            (13, 4), (25, 4), (37, 4), (49, 4), (61, 4),
+            (21, 5), (41, 5), (61, 5),
+        ]
+        assert set(TABULATED_FAMILIES) < set(CATALOG_PAIRS)
+
+    @pytest.mark.parametrize("v,r", CATALOG_PAIRS)
+    def test_table_equals_search(self, v, r):
+        # An explicit budget bypasses the table and runs the search.
+        searched = find_difference_family(v, r, max_nodes=_DEFAULT_BUDGET)
+        assert TABULATED_FAMILIES.get((v, r)) == searched
+        assert find_difference_family(v, r) == searched
+
+    def test_absent_pair_has_no_family_in_search(self):
+        assert (25, 4) not in TABULATED_FAMILIES
+        assert find_difference_family(25, 4, max_nodes=_DEFAULT_BUDGET) is None
+        assert find_difference_family(25, 4) is None
+
+    @pytest.mark.parametrize("v,r", sorted(TABULATED_FAMILIES))
+    def test_tabulated_family_develops_into_design(self, v, r):
+        design = develop_difference_family(v, TABULATED_FAMILIES[(v, r)])
+        assert design.block_size == r
+        assert design.is_design(2, 1)
+        assert cyclic_2design(v, r).blocks == design.blocks

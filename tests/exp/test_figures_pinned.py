@@ -6,6 +6,8 @@ The digests below were captured from the hand-written figure loops
 entry pins ``sha256(result.render())[:16]`` for a small parameterization,
 and the attack-backed figures are additionally pinned through a sharded
 (``workers=2``) engine run — worker count must never perturb a result.
+Figs. 5 and 6 are also pinned at their full default sweeps, with digests
+captured before the design-catalog caches.
 """
 
 import hashlib
@@ -89,6 +91,15 @@ class TestAnalyticFigures:
     def test_fig5_small(self):
         result = fig5.generate(combos=((3, 1), (3, 2)), n_range=(50, 120))
         assert _digest(result.render()) == "76c00c5680ff87c8"
+
+    def test_fig5_full(self):
+        # The default sweep reaches the tabulated difference-family orders.
+        assert _digest(fig5.generate().render()) == "fe0f74c265fa2fec"
+
+    def test_fig6_full(self):
+        mu5, mu10 = fig5.generate_fig6()
+        assert _digest(mu5.render()) == "236e2475ae28d78f"
+        assert _digest(mu10.render()) == "fc52cb152a426801"
 
     def test_fig8_small(self):
         result = fig8.generate(systems=((71, 3), (71, 5)), k_max=6)

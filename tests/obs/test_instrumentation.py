@@ -8,10 +8,12 @@ import pytest
 
 from repro import faults, obs
 from repro.analysis import fig2
-from repro.core import artifact, kernels
+from repro.core import artifact, kernels, subsystems
 from repro.core.adversary import best_attack
 from repro.core.batch import AttackCell, engine_for
 from repro.core.random_placement import RandomStrategy
+from repro.designs import difference_family
+from repro.designs.catalog import Existence
 from repro.exp.runner import run_experiment
 from repro.exp.store import RunStore
 from repro.sim import LifetimeSimulator, SimConfig
@@ -75,6 +77,29 @@ class TestEngineCounts:
         assert obs.counter_value("engine.builds") == 1
         assert obs.counter_value("engine.cache.hits") == 1
         assert obs.snapshot()["gauges"]["engine.cache.size"] == 1
+
+
+class TestCatalogCacheCounts:
+    def test_admissible_orders_count_extends_then_hits(self, metrics_on):
+        key = (3, 2, Existence.KNOWN, 1)
+        subsystems._ORDER_TABLES.pop(key, None)
+        subsystems._admissible_orders(3, 2, 40, Existence.KNOWN, 1)
+        subsystems._admissible_orders(3, 2, 60, Existence.KNOWN, 1)
+        subsystems._admissible_orders(3, 2, 20, Existence.KNOWN, 1)
+        subsystems._admissible_orders(3, 2, 60, Existence.KNOWN, 1)
+        assert obs.counter_value("subsystems.orders.extends") == 2
+        assert obs.counter_value("subsystems.orders.hits") == 2
+
+    def test_difference_family_counts_table_hits_and_searches(self, metrics_on):
+        difference_family.find_difference_family.cache_clear()
+        difference_family.find_difference_family(37, 4)
+        difference_family.find_difference_family(25, 4)
+        assert obs.counter_value("designs.difference_family.table_hits") == 2
+        assert obs.counter_value("designs.difference_family.searches") == 0
+        # Outside the table's scope, and any explicit budget, run the search.
+        difference_family.find_difference_family(7, 3)
+        difference_family.find_difference_family(37, 4, max_nodes=10_000)
+        assert obs.counter_value("designs.difference_family.searches") == 2
 
 
 class TestKernelLadder:

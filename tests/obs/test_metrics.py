@@ -37,6 +37,8 @@ class TestCatalog:
         assert "attack.memo.hits" not in names
         assert "engine.builds" not in names
         assert "runner.shard_retries" not in names
+        assert "subsystems.orders.hits" not in names
+        assert "designs.difference_family.searches" not in names
 
 
 class TestGating:
