@@ -1,28 +1,23 @@
-"""Perf record for the damage-kernel ladder (BENCH_kernels.json, BENCH_2.json).
+"""Perf record for the gain kernel (BENCH_kernels.json).
 
-Times the pluggable kernels (gain / bitset / numpy / python) against the
-seed's allocation-heavy ``_DamageModel`` numpy path (reproduced below as
-:class:`SeedDamageModel`) at paper scales, and asserts two headlines:
-
-* PR 1 (kept as a regression guard): on a LocalSearchAdversary sweep at
-  n=71, b=9600 the bitset or buffered-numpy kernel beats the seed path by
-  >= 2x while every backend returns identical damage values.
-* PR 2: the incremental gain-table engine completes the same sweep at
-  >= 5x the PR-1 bitset kernel's rate (when its native backing is
-  available; >= 1x otherwise), with identical damages. The trajectory —
-  PR-1 bitset baseline vs the gain engine, as ``local_search_attacks_per_sec``
-  — is recorded in the repo-top-level ``BENCH_2.json``.
+Times the gain kernel — every available backing — against the seed's
+allocation-heavy ``_DamageModel`` numpy path (reproduced below as
+:class:`SeedDamageModel`) at paper scales, plus the full-scan
+:class:`~repro.core.kernels.PythonKernel` oracle, and asserts the
+headline: on a LocalSearchAdversary sweep at n=71, b=9600 the gain
+kernel beats the seed path by >= 10x with its native backing (>= 2x on
+the dependency-free ladder fallbacks), while every kernel returns
+identical damage values.
 
 Run explicitly (bench files are not part of the tier-1 suite)::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_kernels.py -q
 
 The per-scale JSON record lands in ``benchmarks/output/BENCH_kernels.json``
-so later PRs can extend the perf trajectory.
+so later changes can extend the perf trajectory.
 """
 
 import json
-import pathlib
 import random
 import time
 
@@ -35,16 +30,21 @@ from repro.core.adversary import (
     GreedyAdversary,
     LocalSearchAdversary,
 )
-from repro.core.kernels import make_kernel, resolve_gain_backing
+from repro.core.kernels import (
+    GAIN_BACKINGS,
+    DamageKernel,
+    Incidence,
+    PythonKernel,
+    make_kernel,
+    resolve_gain_backing,
+)
 from repro.core.random_placement import RandomStrategy
 from repro.util.tables import TextTable
 
 JSON_PATH = OUTPUT_DIR / "BENCH_kernels.json"
-BENCH_2_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_2.json"
 
 #: Paper-scale grid: cluster sizes x object counts (b capped at 9600).
 SCALES = [(31, 600), (31, 9600), (71, 600), (71, 9600), (257, 600), (257, 9600)]
-KERNEL_NAMES = ("gain", "bitset", "numpy", "python")
 
 
 class SeedDamageModel:
@@ -53,7 +53,8 @@ class SeedDamageModel:
     Allocates a fresh hit vector per move (``hits + matrix[:, node]``) and
     a fresh (b, n) totals matrix per ``best_addition`` — exactly what the
     kernel refactor removed. Satisfies the kernel contract, so the same
-    adversaries run unmodified on top of it.
+    adversaries run unmodified on top of it; the polish moves are the
+    generic :class:`DamageKernel` ones.
     """
 
     name = "seed-numpy"
@@ -98,34 +99,32 @@ class SeedDamageModel:
         node = int(damages.argmax())
         return node, int(damages[node])
 
-    def try_swap(self, hits, node, banned, current):
-        # The generic (unfused) polish position, so the frozen seed model
-        # keeps satisfying the kernel contract LocalSearch drives.
-        hits = self.remove_node(hits, node)
-        candidate, damage = self.best_addition(hits, banned)
-        if damage > current:
-            return self.add_node(hits, candidate), candidate, damage
-        return self.add_node(hits, node), None, current
+    try_swap = DamageKernel.try_swap
+    polish_pass = DamageKernel.polish_pass
+    polish_chain = DamageKernel.polish_chain
+    polish_chains = DamageKernel.polish_chains
 
-    def polish_pass(self, hits, nodes, current):
-        banned = set(nodes)
-        improved = False
-        for position in range(len(nodes)):
-            node = nodes[position]
-            banned.discard(node)
-            hits, swapped, current = self.try_swap(hits, node, banned, current)
-            if swapped is not None:
-                nodes[position] = swapped
-                banned.add(swapped)
-                improved = True
-            else:
-                banned.add(node)
-        return hits, current, improved
+
+def _gain_backings():
+    """Every gain backing runnable here, fastest first."""
+    available = []
+    for backing in GAIN_BACKINGS:
+        try:
+            resolve_gain_backing(backing)
+        except ValueError:
+            continue
+        available.append(backing)
+    return available
 
 
 def _engines_for(placement, s):
-    engines = {name: make_kernel(placement, s, backend=name)
-               for name in KERNEL_NAMES}
+    """``gain`` (auto backing), each backing by name, oracle, seed model."""
+    engines = {"gain": make_kernel(placement, s)}
+    for backing in _gain_backings():
+        engines["gain/" + backing] = make_kernel(
+            placement, s, gain_backing=backing
+        )
+    engines["oracle"] = PythonKernel(Incidence(placement), s)
     engines["seed-numpy"] = SeedDamageModel(placement, s)
     return engines
 
@@ -176,7 +175,7 @@ def _collect():
                     "b": b,
                     "r": 3,
                     "s": 2,
-                    "backend": name,
+                    "kernel": name,
                     "best_addition_ops_per_sec": round(1.0 / seconds, 1),
                 }
             )
@@ -191,8 +190,8 @@ def _collect():
         sweep[name] = seconds
         damages[name] = found
     speedups = {
-        name: round(sweep["seed-numpy"] / sweep[name], 2)
-        for name in KERNEL_NAMES
+        name: round(sweep["seed-numpy"] / seconds, 2)
+        for name, seconds in sweep.items()
     }
     return records, sweep, damages, speedups, k_values
 
@@ -203,19 +202,19 @@ def test_kernel_ladder(benchmark):
     )
 
     table = TextTable(
-        ["n", "b", "backend", "best_addition/s"],
-        title="Damage-kernel ladder: ops/sec by scale",
+        ["n", "b", "kernel", "best_addition/s"],
+        title="Damage kernels: best_addition ops/sec by scale",
     )
     for record in records:
         table.add_row(
-            [record["n"], record["b"], record["backend"],
+            [record["n"], record["b"], record["kernel"],
              record["best_addition_ops_per_sec"]]
         )
     attacks_per_sec = {
         name: round(len(k_values) / seconds, 1) for name, seconds in sweep.items()
     }
     sweep_table = TextTable(
-        ["backend", "sweep sec", "attacks/s", "speedup vs seed", "damages"],
+        ["kernel", "sweep sec", "attacks/s", "speedup vs seed", "damages"],
         title=f"LocalSearch sweep n=71 b=9600 s=2 k={list(k_values)}",
     )
     for name, seconds in sorted(sweep.items(), key=lambda item: item[1]):
@@ -225,18 +224,10 @@ def test_kernel_ladder(benchmark):
         )
     emit("bench_kernels", table.render() + "\n\n" + sweep_table.render())
 
-    # Capture the previous record's bitset sweep (the PR-1 baseline as
-    # measured on its own run) before overwriting the file below.
-    pr1_recorded = None
-    if JSON_PATH.exists():
-        try:
-            prior = json.loads(JSON_PATH.read_text())
-            pr1_recorded = prior.get("sweep", {}).get("seconds", {}).get("bitset")
-        except ValueError:  # pragma: no cover - corrupt record
-            pr1_recorded = None
-
+    gain_backing = resolve_gain_backing()
     payload = {
-        "schema": "bench_kernels/v2",
+        "schema": "bench_kernels/v3",
+        "gain_backing": gain_backing,
         "scales": records,
         "sweep": {
             "n": 71, "b": 9600, "s": 2, "k_values": list(k_values),
@@ -249,47 +240,20 @@ def test_kernel_ladder(benchmark):
     OUTPUT_DIR.mkdir(exist_ok=True)
     JSON_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 
-    # BENCH_2: the PR-2 trajectory record — PR-1 bitset baseline vs the
-    # incremental gain engine, same adversary, same trajectory, no memo.
-    gain_backing = resolve_gain_backing()
-    gain_speedup = round(sweep["bitset"] / sweep["gain"], 2)
-    bench2 = {
-        "schema": "bench_2/v1",
-        "workload": {
-            "n": 71, "b": 9600, "s": 2, "k_values": list(k_values),
-            "adversary": "LocalSearchAdversary(restarts=2, seed=0)",
-        },
-        "pr1_bitset_baseline": {
-            "seconds": round(sweep["bitset"], 4),
-            "local_search_attacks_per_sec": attacks_per_sec["bitset"],
-            "recorded_pr1_seconds": pr1_recorded,
-        },
-        "gain_engine": {
-            "backing": gain_backing,
-            "seconds": round(sweep["gain"], 4),
-            "local_search_attacks_per_sec": attacks_per_sec["gain"],
-        },
-        "speedup_gain_vs_pr1_bitset": gain_speedup,
-        "damages_agree": damages["gain"] == damages["bitset"],
-    }
-    BENCH_2_PATH.write_text(json.dumps(bench2, indent=2) + "\n")
-
-    # PR-1 acceptance (regression guard): a refactored kernel beats the
-    # seed numpy path >= 2x...
-    assert max(speedups["bitset"], speedups["numpy"]) >= 2.0, speedups
-    # ...and every backend agrees exactly with the seed model's damage.
+    # Every kernel agrees exactly with the seed model's damage...
     reference = damages["seed-numpy"]
-    for name in KERNEL_NAMES:
-        assert damages[name] == reference, damages
-    # PR-2 acceptance: the gain engine completes the sweep at >= 5x the
-    # PR-1 bitset kernel's rate (native backing; the pure-python ladder
-    # fallbacks only have to break even).
-    required = 5.0 if gain_backing == "native" else 1.0
-    assert gain_speedup >= required, bench2
+    for name, found in damages.items():
+        assert found == reference, damages
+    # ...and the gain kernel completes the sweep at >= 10x the seed
+    # path's rate with its native backing (the dependency-free ladder
+    # fallbacks only have to double it).
+    required = 10.0 if gain_backing == "native" else 2.0
+    assert speedups["gain"] >= required, payload["sweep"]
 
 
 def test_all_adversaries_agree_across_backends():
-    """Greedy/local/exhaustive/B&B damages are backend-independent."""
+    """Greedy/local/exhaustive/B&B damages agree on every gain backing,
+    the full-scan oracle and (B&B aside) the frozen seed model."""
     placement = RandomStrategy(14, 3).place(60, random.Random(2))
     engines = _engines_for(placement, 2)
     adversaries = {

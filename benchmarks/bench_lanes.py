@@ -85,7 +85,7 @@ def bench_lanes(scale, gated):
     placement = RandomStrategy(scale["n"], scale["r"]).place(
         scale["b"], random.Random(10)
     )
-    kernel = make_kernel(placement, scale["s"], backend="gain")
+    kernel = make_kernel(placement, scale["s"])
     chains = 1 + scale["restarts"]  # greedy polish + every restart
     cores = os.cpu_count() or 1
 

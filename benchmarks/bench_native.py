@@ -132,9 +132,7 @@ def thread_sweep(n, r, b, s, reps, report):
     attacks = {}
     for threads in THREAD_COUNTS:
         with _configured(threads):
-            kernel = make_kernel(
-                placement, s, backend="gain", gain_backing="native"
-            )
+            kernel = make_kernel(placement, s, gain_backing="native")
             outcomes[threads] = sweep_workload(kernel, n)
             best = None
             for _ in range(reps):

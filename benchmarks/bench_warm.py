@@ -1,6 +1,6 @@
 """Warm-path benchmark: engine-state hydration + affinity-pool dispatch.
 
-Two claims from the zero-rebuild warm path, measured and gated:
+Two claims from the zero-rebuild warm path, measured and checked:
 
 * **hydration** — rebuilding a warm :class:`AttackEngine` from a packed
   engine-state snapshot (mmap-backed ``.npz``) must be at least 5x
@@ -10,15 +10,9 @@ Two claims from the zero-rebuild warm path, measured and gated:
   cold build: same fingerprint, same packed kernel state for every
   threshold, same attack results.
 * **affinity dispatch** — the fig2 and fig7 grids through the
-  persistent affinity-routed worker pool versus the fork-per-shard
-  supervised baseline it replaced. Shards on these grids are
-  milliseconds of compute, so per-shard fixed cost (fork + engine
-  rebuild) dominates the baseline — exactly the workload the pool
-  eliminates. Min-of-N alternating reps; results must be identical on
-  both sides. The wall-clock gate only arms on hosts with >= 2 cores
-  (on a single core neither mechanism can overlap compute and the
-  comparison measures scheduler noise); single-core runs still record
-  honest numbers with ``wall_clock_gated: false``.
+  persistent affinity-routed worker pool must produce metrics identical
+  to a serial run of the same spec. Both wall times are recorded, not
+  gated.
 
 Run::
 
@@ -54,8 +48,8 @@ from repro.core.placement import Placement
 from repro.exp.registry import kernel as experiment_kernel
 from repro.exp.runner import (
     _contiguous_groups,
-    _run_sharded_forked,
     _run_sharded_pool,
+    run_experiment,
 )
 
 DEFAULT_WORKERS = 4
@@ -64,8 +58,6 @@ HYDRATE_N, HYDRATE_R = 512, 3
 HYDRATE_S_VALUES = (1, 2, 3)
 HYDRATE_GATE_FULL = 5.0
 HYDRATE_GATE_SMOKE = 2.0
-POOL_GATE_FULL = 1.3
-POOL_GATE_SMOKE = 1.0
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
@@ -86,7 +78,7 @@ def _cold_engine(rows):
     placement.load_array()
     placement.node_csr()
     placement.fingerprint()
-    engine = AttackEngine(placement, backend="gain")
+    engine = AttackEngine(placement)
     for s in HYDRATE_S_VALUES:
         engine.kernel(s)
     return engine
@@ -94,7 +86,7 @@ def _cold_engine(rows):
 
 def _warm_engine(path):
     """The same readiness via the snapshot (mmap + checksum verify)."""
-    engine = hydrate_engine(path, backend="gain", mmap=True)
+    engine = hydrate_engine(path, mmap=True)
     if engine is None:
         raise AssertionError(f"{path}: snapshot refused to hydrate")
     for s in HYDRATE_S_VALUES:
@@ -106,9 +98,7 @@ def _packed_states(engine):
     states = {}
     for s in HYDRATE_S_VALUES:
         kernel = engine.kernel(s)
-        export = getattr(kernel, "export_state", None)
-        if export is not None:
-            states[s] = export(kernel.empty_hits())
+        states[s] = kernel.export_state(kernel.empty_hits())
     return states
 
 
@@ -166,8 +156,8 @@ def bench_hydration(b, reps, gate):
     }
 
 
-def _dispatch(spec, workers, run):
-    """One timed pass of ``run`` over the spec's shards; returns metrics."""
+def check_pool(spec, workers):
+    """One pool pass and one serial pass of the spec; metrics must match."""
     definition = experiment_kernel(spec.experiment)
     cells = [dict(cell) for cell in definition.expand(spec)]
     groups = _contiguous_groups(spec, definition, cells)
@@ -179,49 +169,27 @@ def _dispatch(spec, workers, run):
 
     clear_attack_caches()
     begin = time.perf_counter()
-    retries = run(spec, definition, cells, groups, workers, flush)
-    elapsed = time.perf_counter() - begin
+    retries = _run_sharded_pool(spec, definition, cells, groups, workers, flush)
+    pool_seconds = time.perf_counter() - begin
     if retries != 0:
         raise AssertionError(
             f"fault-free dispatch reported {retries} shard retries"
         )
-    return elapsed, json.loads(json.dumps(metrics))
-
-
-def bench_pool(spec, workers, reps, gate, gated):
-    fork_times, pool_times = [], []
-    for _ in range(reps):
-        fork_seconds, fork_metrics = _dispatch(
-            spec, workers, _run_sharded_forked
-        )
-        pool_seconds, pool_metrics = _dispatch(
-            spec, workers, _run_sharded_pool
-        )
-        if fork_metrics != pool_metrics:
-            raise AssertionError(
-                "affinity pool diverged from the fork-per-shard baseline"
-            )
-        fork_times.append(fork_seconds)
-        pool_times.append(pool_seconds)
-    best_fork, best_pool = min(fork_times), min(pool_times)
-    speedup = best_fork / best_pool
-    definition = experiment_kernel(spec.experiment)
-    cells = [dict(cell) for cell in definition.expand(spec)]
-    groups = _contiguous_groups(spec, definition, cells)
+    clear_attack_caches()
+    begin = time.perf_counter()
+    serial = run_experiment(spec, workers=1)
+    serial_seconds = time.perf_counter() - begin
+    identical = json.loads(json.dumps(metrics)) == serial.metrics
     return {
         "experiment": spec.experiment,
         "spec_hash": spec.spec_hash()[:16],
         "cells": len(cells),
         "shards": len(groups),
         "workers": workers,
-        "reps": reps,
-        "fork_seconds": round(best_fork, 4),
-        "pool_seconds": round(best_pool, 4),
-        "speedup": round(speedup, 2),
-        "gate": gate,
-        "wall_clock_gated": gated,
-        "bit_identical": True,
-        "pass": (not gated) or speedup >= gate,
+        "pool_seconds": round(pool_seconds, 4),
+        "serial_seconds": round(serial_seconds, 4),
+        "bit_identical": identical,
+        "pass": identical,
     }
 
 
@@ -233,14 +201,11 @@ def main(argv=None):
     )
     args = parser.parse_args(argv)
     workers = int(os.environ.get("REPRO_WORKERS", "") or DEFAULT_WORKERS)
-    cores = os.cpu_count() or 1
-    gated = cores >= 2
 
     if args.smoke:
         hydrate_b, hydrate_gate, hydrate_reps = (
             HYDRATE_B_SMOKE, HYDRATE_GATE_SMOKE, 3
         )
-        pool_gate, pool_reps = POOL_GATE_SMOKE, 2
         fig2_spec = fig2.default_spec(
             b_values=(600, 1200), s_values=(2, 3), k_max=4
         )
@@ -251,19 +216,16 @@ def main(argv=None):
         hydrate_b, hydrate_gate, hydrate_reps = (
             HYDRATE_B_FULL, HYDRATE_GATE_FULL, 2
         )
-        pool_gate, pool_reps = POOL_GATE_FULL, 3
         fig2_spec = fig2.default_spec()
         fig7_spec = fig7.default_spec()
 
     report = {
         "workers": workers,
-        "cpu_count": cores,
+        "cpu_count": os.cpu_count() or 1,
         "hydration": bench_hydration(hydrate_b, hydrate_reps, hydrate_gate),
         "dispatch": {
-            "fig2": bench_pool(fig2_spec, workers, pool_reps, pool_gate,
-                               gated),
-            "fig7": bench_pool(fig7_spec, workers, pool_reps, pool_gate,
-                               gated),
+            "fig2": check_pool(fig2_spec, workers),
+            "fig7": check_pool(fig7_spec, workers),
         },
     }
 
@@ -285,9 +247,8 @@ def main(argv=None):
     for name, entry in report["dispatch"].items():
         if not entry["pass"]:
             print(
-                f"FAIL: {name} affinity pool is only {entry['speedup']:.2f}x "
-                f"the fork baseline (gate {entry['gate']:.1f}x, "
-                f"{cores} cores)",
+                f"FAIL: {name} affinity pool metrics diverged from the "
+                "serial run",
                 file=sys.stderr,
             )
             status = 1

@@ -19,9 +19,12 @@ A guard, not a benchmark:
   silently degraded into serialization-plus-copying. On multi-core
   runners the sharded run must beat a modest ceiling below serial-plus-
   overhead; single-core runners only gate the overhead bound.
+* **affinity-pool identity** — the fig2 grid dispatched straight
+  through the persistent affinity pool must produce metrics identical
+  to a serial run.
 
 The real perf records (paper scale / million-object scale) live in
-``bench_kernels.py`` / ``BENCH_2.json`` and ``bench_placement.py`` /
+``bench_kernels.py`` and ``bench_placement.py`` /
 ``BENCH_4.json``; this script only catches the "fast path silently
 degraded below the floor" failure modes.
 
@@ -39,7 +42,12 @@ import sys
 import time
 
 from repro.core.adversary import LocalSearchAdversary
-from repro.core.kernels import Incidence, make_kernel, resolve_gain_backing
+from repro.core.kernels import (
+    Incidence,
+    PythonKernel,
+    make_kernel,
+    resolve_gain_backing,
+)
 from repro.core.placement import Placement
 from repro.core.random_placement import RandomStrategy
 
@@ -91,7 +99,7 @@ def _array_ready_seconds(rows) -> float:
     placement.node_csr()
     placement.fingerprint()
     incidence = Incidence(placement)
-    make_kernel(placement, S, backend="gain", incidence=incidence)
+    make_kernel(placement, S, incidence=incidence)
     incidence.csr()
     return time.perf_counter() - start
 
@@ -248,74 +256,41 @@ def exp_shard_gate(report: dict) -> int:
     return 0
 
 
-#: Affinity-pool gate: the persistent pool replaces fork-per-shard, so a
-#: modest fixed allowance (worker spawns happen once) plus a ratio the
-#: pool must stay under relative to the fork baseline on hosts where the
-#: two mechanisms genuinely differ (>= 2 cores). Single-core runners only
-#: check bit-identity — there the comparison measures scheduler noise.
-POOL_OVERHEAD_SECONDS = 0.75
-POOL_MULTI_CORE_RATIO = 1.10
-
-
 def affinity_pool_gate(report: dict) -> int:
-    import os
-
+    """The affinity pool's fig2 metrics must equal a serial run's."""
     from repro.analysis import fig2
     from repro.core.batch import clear_attack_caches
     from repro.exp.registry import kernel as experiment_kernel
     from repro.exp.runner import (
         _contiguous_groups,
-        _run_sharded_forked,
         _run_sharded_pool,
+        run_experiment,
     )
 
     spec = fig2.default_spec(b_values=(600, 1200), s_values=(2, 3), k_max=4)
     definition = experiment_kernel(spec.experiment)
     cells = [dict(cell) for cell in definition.expand(spec)]
     groups = _contiguous_groups(spec, definition, cells)
+    metrics = [None] * len(cells)
 
-    def dispatch(run):
-        metrics = [None] * len(cells)
+    def flush(group, chunk):
+        for offset, entry in enumerate(chunk):
+            metrics[group.start + offset] = entry
 
-        def flush(group, chunk):
-            for offset, entry in enumerate(chunk):
-                metrics[group.start + offset] = entry
-
-        clear_attack_caches()
-        start = time.perf_counter()
-        run(spec, definition, cells, groups, 2, flush)
-        return time.perf_counter() - start, json.loads(json.dumps(metrics))
-
-    fork_seconds, fork_metrics = dispatch(_run_sharded_forked)
-    pool_seconds, pool_metrics = dispatch(_run_sharded_pool)
-    cores = os.cpu_count() or 1
-    gated = cores >= 2
-    budget = (
-        fork_seconds * POOL_MULTI_CORE_RATIO + POOL_OVERHEAD_SECONDS
-        if gated else None
-    )
+    clear_attack_caches()
+    _run_sharded_pool(spec, definition, cells, groups, 2, flush)
+    pool_metrics = json.loads(json.dumps(metrics))
+    clear_attack_caches()
+    serial = run_experiment(spec, workers=1)
     report["affinity_pool"] = {
         "experiment": spec.experiment,
         "cells": len(cells),
         "shards": len(groups),
-        "cpu_count": cores,
-        "fork_seconds": round(fork_seconds, 4),
-        "pool_seconds": round(pool_seconds, 4),
-        "budget_seconds": round(budget, 4) if gated else None,
-        "wall_clock_gated": gated,
-        "bit_identical": fork_metrics == pool_metrics,
+        "bit_identical": pool_metrics == serial.metrics,
     }
-    if fork_metrics != pool_metrics:
+    if pool_metrics != serial.metrics:
         print(
-            "FAIL: affinity pool results diverged from the fork baseline",
-            file=sys.stderr,
-        )
-        return 1
-    if gated and pool_seconds > budget:
-        print(
-            f"FAIL: affinity pool took {pool_seconds:.3f}s vs "
-            f"{fork_seconds:.3f}s fork baseline (budget {budget:.3f}s, "
-            f"{cores} cores)",
+            "FAIL: affinity pool results diverged from the serial run",
             file=sys.stderr,
         )
         return 1
@@ -324,8 +299,8 @@ def affinity_pool_gate(report: dict) -> int:
 
 def main() -> int:
     placement = RandomStrategy(N, 3).place(B, random.Random(0))
-    gain = make_kernel(placement, S, backend="gain")
-    python = make_kernel(placement, S, backend="python")
+    gain = make_kernel(placement, S)
+    python = PythonKernel(Incidence(placement), S)
     gain_damages = tuple(
         LocalSearchAdversary(restarts=2, seed=0).attack(
             placement, k, S, kernel=gain

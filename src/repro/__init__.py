@@ -51,7 +51,6 @@ from repro.core import (
     certified_availability,
     evaluate_availability,
     evaluate_availability_grid,
-    force_backend,
     make_kernel,
     lb_avail_combo,
     lb_avail_simple,
@@ -102,7 +101,6 @@ __all__ = [
     "certified_availability",
     "evaluate_availability",
     "evaluate_availability_grid",
-    "force_backend",
     "make_kernel",
     "lb_avail_combo",
     "lb_avail_simple",

@@ -4,11 +4,11 @@ Every figure generator reads its effort/repetition knobs from here so that
 ``pytest benchmarks/`` runs in minutes by default while
 ``REPRO_EFFORT=exact REPRO_REPS=20`` reproduces the paper's full procedure.
 
-Attack-engine knobs: ``REPRO_KERNEL`` picks the damage-kernel backend
-(auto/gain/bitset/numpy/python; ``REPRO_GAIN_BACKING`` the gain engine's
-backing), ``REPRO_WORKERS`` the process fan-out of batched attack grids,
-and ``REPRO_ATTACK_CACHE`` toggles the warm attack-result memo; all
-resolve here so figures stay declarative.
+Attack-engine knobs: ``REPRO_WORKERS`` sets the process fan-out of
+batched attack grids and ``REPRO_ATTACK_CACHE`` toggles the warm
+attack-result memo; both resolve here so figures stay declarative.
+(``REPRO_GAIN_BACKING``, the gain kernel's backing, resolves in
+:mod:`repro.core.kernels`; every backing gives identical results.)
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ from typing import List
 
 from repro.core.batch import attack_cache_default as _attack_cache_default
 from repro.core.batch import worker_count as _worker_count
-from repro.core.kernels import resolve_backend as _resolve_backend
-from repro.core.kernels import resolve_gain_backing as _resolve_gain_backing
 
 #: The paper's object-count ladder (Figs. 9-10 start at 600; Fig. 7 at 150).
 PAPER_B_LADDER: List[int] = [600, 1200, 2400, 4800, 9600, 19200, 38400]
@@ -69,23 +67,6 @@ def object_scale_cap(default: int = 9600) -> int:
     if value < 1:
         raise ValueError(f"REPRO_B_MAX must be >= 1, got {value}")
     return value
-
-
-def kernel_backend() -> str:
-    """Damage-kernel backend for attack evaluation (``REPRO_KERNEL``).
-
-    Resolves auto/forcing/env to a concrete backend name so figure runs
-    record which kernel produced them.
-    """
-    return _resolve_backend(None)
-
-
-def kernel_description() -> str:
-    """Human-readable kernel id for provenance lines, e.g. ``gain/native``."""
-    backend = kernel_backend()
-    if backend == "gain":
-        return f"gain/{_resolve_gain_backing(None)}"
-    return backend
 
 
 def attack_cache_enabled() -> bool:

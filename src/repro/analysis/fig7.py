@@ -27,7 +27,6 @@ from typing import Dict, List, Tuple
 from repro.analysis.common import (
     FIG7_B_LADDER,
     adversary_effort,
-    kernel_backend,
     monte_carlo_reps,
     object_scale_cap,
 )
@@ -140,9 +139,7 @@ def _run_group(spec: ExperimentSpec, cells) -> List[dict]:
     # chains incumbents; identical re-runs come out of the attack memo.
     grid = [AttackCell(cell["k"], s, effort) for cell in cells]
     [cell_seed] = spawn_seeds(seed, 1, "fig7-attack", n, r, b, rep)
-    attacks = batch_attack(
-        placement, grid, backend=kernel_backend(), workers=1, seed=cell_seed
-    )
+    attacks = batch_attack(placement, grid, workers=1, seed=cell_seed)
     return [{"avail": b - attack.damage} for attack in attacks]
 
 

@@ -26,7 +26,6 @@ from repro.analysis.common import (
     PAPER_B_LADDER,
     adversary_effort,
     attack_workers,
-    kernel_backend,
     percent,
 )
 from repro.core.batch import AttackCell, batch_attack
@@ -195,7 +194,6 @@ def generate_empirical(
             attacks = batch_attack(
                 placement,
                 grid,
-                backend=kernel_backend(),
                 workers=attack_workers(),
                 seed=cell_seed,
             )

@@ -175,11 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
     attack.add_argument("--s", type=int, required=True, help="fatality threshold")
     attack.add_argument("--effort", choices=("fast", "auto", "exact"),
                         default="auto")
-    attack.add_argument("--kernel",
-                        choices=("auto", "gain", "bitset", "numpy", "python"),
-                        default=None,
-                        help="damage-kernel backend (default: $REPRO_KERNEL/"
-                        "auto = the incremental gain engine)")
     attack.add_argument("--workers", type=int, default=None,
                         help="worker processes for batched attacks "
                         "(default: $REPRO_WORKERS/1)")
@@ -229,9 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="time between metric samples (0 = off)")
     simulate.add_argument("--effort", choices=("fast", "auto", "exact"),
                           default="fast", help="adversary effort per strike")
-    simulate.add_argument("--kernel",
-                          choices=("auto", "gain", "bitset", "numpy", "python"),
-                          default=None, help="damage-kernel backend")
     simulate.add_argument("--engine", choices=("delta", "rebuild"),
                           default="delta",
                           help="delta-aware warm engine vs per-strike rebuild")
@@ -453,7 +445,6 @@ def _run_simulate(args) -> int:
     from repro.sim import LifetimeSimulator, SimConfig
 
     mark = _arm_obs(args)
-    backend = None if args.kernel in (None, "auto") else args.kernel
     config = SimConfig(
         n=args.n, r=args.r, s=args.s, k=args.k,
         events=args.events, seed=args.seed, racks=args.racks,
@@ -462,7 +453,7 @@ def _run_simulate(args) -> int:
         rack_failure_rate=args.rack_failure_rate,
         repair_time=args.repair_time, strike_period=args.strike_period,
         measure_period=args.measure_period, effort=args.effort,
-        backend=backend, engine_mode=args.engine, repair=args.repair,
+        engine_mode=args.engine, repair=args.repair,
         repair_grace=args.grace, lanes=args.lanes,
     )
     simulator = LifetimeSimulator(config)
@@ -744,9 +735,7 @@ def _run_attack(args) -> int:
         from repro.core.batch import hydrate_engine
 
         try:
-            engine = hydrate_engine(
-                args.engine_state, backend=args.kernel, validate=True
-            )
+            engine = hydrate_engine(args.engine_state, validate=True)
         except (ArtifactError, OSError) as exc:
             print(f"attack: {exc}", file=sys.stderr)
             return 1
@@ -773,7 +762,7 @@ def _run_attack(args) -> int:
         placement = load_placement(args.placement, mmap=args.mmap)
     cells = [AttackCell(k, args.s, args.effort) for k in args.k]
     results = batch_attack(
-        placement, cells, backend=args.kernel, workers=args.workers,
+        placement, cells, workers=args.workers,
         cache=False if args.no_cache else None, lanes=args.lanes,
     )
     print(f"placement: {placement}")

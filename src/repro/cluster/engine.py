@@ -51,7 +51,6 @@ def run_attack_grid(
     rule: LivenessRule,
     effort: str = "auto",
     racks: int = 1,
-    backend: Optional[str] = None,
     workers: Optional[int] = None,
     seed: int = 0,
 ) -> List[ScenarioReport]:
@@ -67,9 +66,7 @@ def run_attack_grid(
     cluster = Cluster(placement.n, racks=racks)
     cluster.apply_placement(placement)
     cells = [AttackCell(k, rule.s, effort) for k in k_values]
-    attacks = batch_attack(
-        placement, cells, backend=backend, workers=workers, seed=seed
-    )
+    attacks = batch_attack(placement, cells, workers=workers, seed=seed)
     reports = []
     for cell, attack in zip(cells, attacks):
         failed = fail_specific(cluster, attack.nodes)

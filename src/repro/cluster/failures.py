@@ -65,13 +65,12 @@ class CorrelatedInjector:
 class WorstCaseInjector:
     """The paper's adversary: fail the k nodes that disable the most objects.
 
-    Search runs through the warm attack-engine layer; the damage kernel
-    follows the ``REPRO_KERNEL`` knob unless ``backend`` overrides it.
-    Cluster snapshots are keyed structurally in the engine's warm cache,
-    so re-attacking an unchanged population — the common case in churn
-    scenarios, which re-inject every few events — reuses the incidence
-    and, when ``rng`` is None (the deterministic default, deriving cell
-    randomness from ``seed``), returns the memoized attack outright.
+    Search runs through the warm attack-engine layer. Cluster snapshots
+    are keyed structurally in the engine's warm cache, so re-attacking an
+    unchanged population — the common case in churn scenarios, which
+    re-inject every few events — reuses the incidence and, when ``rng``
+    is None (the deterministic default, deriving cell randomness from
+    ``seed``), returns the memoized attack outright.
     (Each injection is a single attack cell, so worker fan-out does not
     apply here — use :func:`repro.cluster.engine.run_attack_grid` to
     evaluate whole k-grids in one batched, parallelizable pass.)
@@ -92,7 +91,6 @@ class WorstCaseInjector:
         self,
         effort: str = "auto",
         rng: Optional[random.Random] = None,
-        backend: Optional[str] = None,
         seed: int = 0,
         cache: Optional[bool] = None,
         engine: Optional[AttackEngine] = None,
@@ -100,7 +98,6 @@ class WorstCaseInjector:
     ) -> None:
         self.effort = effort
         self.rng = rng
-        self.backend = backend
         self.seed = seed
         self.cache = cache
         self.engine = engine
@@ -116,7 +113,7 @@ class WorstCaseInjector:
     ) -> List[int]:
         engine = self.engine
         if engine is None:
-            engine = engine_for(cluster.placement_snapshot(), self.backend)
+            engine = engine_for(cluster.placement_snapshot())
         attack = engine.attack(
             AttackCell(k, rule.s, self.effort),
             seed=self.seed,

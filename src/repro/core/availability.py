@@ -48,7 +48,6 @@ def evaluate_availability(
     s: int,
     effort: str = "auto",
     rng: Optional[random.Random] = None,
-    backend: Optional[str] = None,
     cache: Optional[bool] = None,
 ) -> AvailabilityReport:
     """Compute (or upper-bound) ``Avail(pi)`` = b - worst-case damage.
@@ -60,8 +59,7 @@ def evaluate_availability(
     ``rng`` is None — see :mod:`repro.core.batch`).
     """
     [attack] = batch_attack(
-        placement, [AttackCell(k, s, effort)], backend=backend, rng=rng,
-        cache=cache,
+        placement, [AttackCell(k, s, effort)], rng=rng, cache=cache
     )
     return AvailabilityReport(
         b=placement.b,
@@ -75,7 +73,6 @@ def evaluate_availability(
 def evaluate_availability_grid(
     placement: Placement,
     cells: Sequence[AttackCell],
-    backend: Optional[str] = None,
     workers: Optional[int] = None,
     seed: int = 0,
     cache: Optional[bool] = None,
@@ -87,8 +84,7 @@ def evaluate_availability_grid(
     see :func:`repro.core.batch.batch_attack`. Reports align with ``cells``.
     """
     attacks = batch_attack(
-        placement, cells, backend=backend, workers=workers, seed=seed,
-        cache=cache,
+        placement, cells, workers=workers, seed=seed, cache=cache
     )
     return [
         AvailabilityReport(

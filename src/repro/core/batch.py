@@ -57,7 +57,6 @@ from repro.core.kernels import (
     DeltaIncidence,
     Incidence,
     make_kernel,
-    resolve_backend,
     resolve_gain_backing,
 )
 from repro.core.placement import Placement
@@ -65,7 +64,7 @@ from repro.util.rng import derive_rng
 
 _EFFORTS = ("fast", "auto", "exact")
 
-#: Engines kept warm per process (LRU by placement fingerprint + backend);
+#: Engines kept warm per process (LRU by placement fingerprint + backing);
 #: overridden by the ``REPRO_ENGINE_CACHE`` knob (see engine_cache_cap).
 _ENGINE_CACHE_CAP = 8
 #: Finished attacks remembered per engine (LRU).
@@ -151,24 +150,19 @@ def clear_attack_caches() -> None:
 class AttackEngine:
     """Warm per-placement attack state: incidence, kernels, result memo.
 
-    Bound to one resolved kernel backend. Use :func:`engine_for` to get
+    Bound to one resolved gain backing. Use :func:`engine_for` to get
     the process-cached instance instead of constructing directly.
     """
 
     def __init__(
         self,
         placement: Placement,
-        backend: Optional[str] = None,
         gain_backing: Optional[str] = None,
     ) -> None:
         self.placement = placement
-        self.backend = resolve_backend(backend)
         # Pin the gain backing at construction so lazily built kernels
         # cannot drift from the backing this engine was cached under.
-        self.gain_backing = (
-            resolve_gain_backing(gain_backing)
-            if self.backend == "gain" else None
-        )
+        self.gain_backing = resolve_gain_backing(gain_backing)
         self.incidence = Incidence(placement)
         self._kernels: Dict[int, DamageKernel] = {}
         self._memo: "OrderedDict[tuple, AttackResult]" = OrderedDict()
@@ -222,8 +216,8 @@ class AttackEngine:
         kernel = self._kernels.get(s)
         if kernel is None:
             kernel = make_kernel(
-                self.placement, s, backend=self.backend,
-                incidence=self.incidence, gain_backing=self.gain_backing,
+                self.placement, s, incidence=self.incidence,
+                gain_backing=self.gain_backing,
             )
             self._kernels[s] = kernel
         return kernel
@@ -297,7 +291,7 @@ class AttackEngine:
         return result
 
 
-def _cache_engine(key: Tuple[str, str, str], engine: AttackEngine) -> None:
+def _cache_engine(key: Tuple[str, str], engine: AttackEngine) -> None:
     """Insert a warm engine, evicting (and detaching) past the LRU cap."""
     _ENGINES[key] = engine
     cap = engine_cache_cap()
@@ -310,16 +304,16 @@ def _cache_engine(key: Tuple[str, str, str], engine: AttackEngine) -> None:
     obs.gauge("engine.cache.size", len(_ENGINES))
 
 
-def engine_for(placement: Placement, backend: Optional[str] = None) -> AttackEngine:
-    """The process-cached warm engine for (placement structure, backend).
+def engine_for(placement: Placement) -> AttackEngine:
+    """The process-cached warm engine for one placement structure.
 
     Structurally equal placements (same fingerprint) share one engine even
     when they are distinct objects — the engine's own placement stands in
     for all of them, which is sound because attacks depend only on
-    structure and node ids are preserved by equality. The gain engine's
-    resolved backing is part of the key, so re-pinning
-    ``REPRO_GAIN_BACKING`` mid-process builds a fresh engine instead of
-    silently reusing kernels of the previous backing.
+    structure and node ids are preserved by equality. The resolved gain
+    backing is part of the key, so re-pinning ``REPRO_GAIN_BACKING``
+    mid-process builds a fresh engine instead of silently reusing kernels
+    of the previous backing.
 
     With an engine-state directory configured
     (:func:`configure_engine_state_dir`), a cache miss first tries to
@@ -327,15 +321,13 @@ def engine_for(placement: Placement, backend: Optional[str] = None) -> AttackEng
     snapshot for the next process — both best-effort: a missing,
     version-skewed, or unwritable snapshot degrades to the cold path.
     """
-    resolved = resolve_backend(backend)
-    backing = resolve_gain_backing() if resolved == "gain" else ""
-    key = (placement.fingerprint(), resolved, backing)
+    key = (placement.fingerprint(), resolve_gain_backing())
     engine = _ENGINES.get(key)
     if engine is None:
         obs.count("engine.cache.misses")
-        engine = _hydrate_from_dir(placement, resolved)
+        engine = _hydrate_from_dir(placement)
         if engine is None:
-            engine = AttackEngine(placement, backend=resolved)
+            engine = AttackEngine(placement)
             obs.count("engine.builds")
             _cache_engine(key, engine)
             _snapshot_to_dir(engine)
@@ -380,9 +372,7 @@ def _state_dir_degraded(path: str, exc: BaseException) -> None:
     )
 
 
-def _hydrate_from_dir(
-    placement: Placement, backend: str
-) -> Optional[AttackEngine]:
+def _hydrate_from_dir(placement: Placement) -> Optional[AttackEngine]:
     """Try the snapshot directory for this placement's engine, else None."""
     if _ENGINE_STATE_DIR is None:
         return None
@@ -394,7 +384,7 @@ def _hydrate_from_dir(
     from repro.core import artifact
 
     try:
-        engine = hydrate_engine(path, backend=backend)
+        engine = hydrate_engine(path)
     except artifact.ArtifactError as exc:
         _state_dir_degraded(path, exc)
         return None
@@ -428,9 +418,7 @@ def snapshot_engine(
     """Write ``engine``'s placement + packed gain states as an artifact.
 
     ``s_values`` defaults to every threshold (1..r) so any later cell
-    hydrates warm; backends without packed state (the full-scan kernels)
-    produce a placement-only snapshot, which still carries the verified
-    CSR/load members that dominate cold-build time. The write is atomic
+    hydrates warm. The write is atomic
     (temp file + rename): concurrent writers race benignly because
     identical content wins either way.
     """
@@ -445,10 +433,7 @@ def snapshot_engine(
     states = {}
     for s in thresholds:
         kernel = engine.kernel(s)
-        export = getattr(kernel, "export_state", None)
-        if export is None:
-            continue
-        states[s] = export(kernel.empty_hits())
+        states[s] = kernel.export_state(kernel.empty_hits())
     scratch = f"{path}.tmp.{os.getpid()}"
     try:
         artifact.save_engine_state(
@@ -463,7 +448,6 @@ def snapshot_engine(
 
 def hydrate_engine(
     path: str,
-    backend: Optional[str] = None,
     mmap: bool = True,
     validate: bool = False,
 ) -> Optional[AttackEngine]:
@@ -488,22 +472,14 @@ def hydrate_engine(
                 path, mmap=mmap, validate=validate,
                 state_version=GAIN_STATE_VERSION,
             )
-            resolved = resolve_backend(backend)
-            engine = AttackEngine(bundle.placement, backend=resolved)
-            if engine.backend == "gain":
-                for s, data in sorted(bundle.states.items()):
-                    kernel = engine.kernel(s)
-                    seed = getattr(kernel, "seed_empty_state", None)
-                    if seed is not None:
-                        seed(data)
+            engine = AttackEngine(bundle.placement)
+            for s, data in sorted(bundle.states.items()):
+                engine.kernel(s).seed_empty_state(data)
     except artifact.ArtifactVersionError:
         return None
     obs.count("engine.hydrations")
     obs.count("engine.builds_avoided")
-    _cache_engine(
-        (bundle.fingerprint, engine.backend, engine.gain_backing or ""),
-        engine,
-    )
+    _cache_engine((bundle.fingerprint, engine.gain_backing), engine)
     return engine
 
 
@@ -523,7 +499,6 @@ def _attack_group(
     placement: Placement,
     s: int,
     group: Sequence[Tuple[int, AttackCell]],
-    backend: str,
     seed: int,
     cache: Optional[bool] = None,
     lanes: Optional[int] = None,
@@ -535,7 +510,7 @@ def _attack_group(
     the per-process cache, so a worker handed several payloads of one
     placement (or a forked child of a warm parent) reuses kernel state.
     """
-    engine = engine_for(placement, backend)
+    engine = engine_for(placement)
     results: List[Tuple[int, AttackResult]] = []
     warm: Optional[Tuple[int, ...]] = None
     for index, cell in group:
@@ -565,7 +540,6 @@ def _attack_group_task(payload):
 def batch_attack(
     placement: Placement,
     cells: Iterable[AttackCell],
-    backend: Optional[str] = None,
     workers: Optional[int] = None,
     seed: int = 0,
     rng: Optional[random.Random] = None,
@@ -574,8 +548,7 @@ def batch_attack(
 ) -> List[AttackResult]:
     """Evaluate a grid of attack cells; results align with the input order.
 
-    ``backend`` picks the damage kernel (default: ``REPRO_KERNEL``/auto),
-    ``workers`` the process fan-out (default: ``REPRO_WORKERS``/serial);
+    ``workers`` picks the process fan-out (default: ``REPRO_WORKERS``/serial);
     see :func:`_partition` for how grids split across workers and the
     effect on heuristic warm-start chains.
     ``rng`` overrides the per-cell derived generators with one shared
@@ -593,7 +566,6 @@ def batch_attack(
         return []
     if lanes is not None and lanes < 1:
         raise ValueError(f"lanes must be >= 1, got {lanes}")
-    chosen_backend = resolve_backend(backend)
     groups: Dict[int, List[Tuple[int, AttackCell]]] = {}
     for index, cell in enumerate(cell_list):
         groups.setdefault(cell.s, []).append((index, cell))
@@ -604,9 +576,7 @@ def batch_attack(
         raise ValueError(f"workers must be >= 1, got {workers}")
 
     results: List[Optional[AttackResult]] = [None] * len(cell_list)
-    payloads = _partition(
-        placement, groups, chosen_backend, seed, workers, cache, lanes
-    )
+    payloads = _partition(placement, groups, seed, workers, cache, lanes)
     if workers > 1 and len(payloads) > 1 and rng is None:
         import multiprocessing
 
@@ -614,7 +584,7 @@ def batch_attack(
         # the built incidence copy-on-write instead of rebuilding it —
         # and any payload fully answerable from the parent's memo skips
         # the pool outright.
-        engine = engine_for(placement, chosen_backend)
+        engine = engine_for(placement)
         pending = []
         for payload in payloads:
             chunk = _memoized_group(engine, payload)
@@ -655,10 +625,10 @@ def batch_attack(
             # Adopt worker results so later repeats are served locally.
             _adopt_results(engine, pending, chunks, cache)
     else:
-        for placement_, s, group, backend_, seed_, cache_, lanes_ in payloads:
+        for placement_, s, group, seed_, cache_, lanes_ in payloads:
             for index, attack in _attack_group(
-                placement_, s, group, backend_, seed_, cache=cache_,
-                lanes=lanes_, rng=rng,
+                placement_, s, group, seed_, cache=cache_, lanes=lanes_,
+                rng=rng,
             ):
                 results[index] = attack
     return results  # type: ignore[return-value]
@@ -673,7 +643,7 @@ def _memoized_group(engine: AttackEngine, payload) -> Optional[
     chain's later keys depend on the missing result, so partial service
     is impossible).
     """
-    _placement, _s, group, _backend, seed, cache, _lanes = payload
+    _placement, _s, group, seed, cache, _lanes = payload
     if not (attack_cache_default() if cache is None else cache):
         return None
     results: List[Tuple[int, AttackResult]] = []
@@ -694,7 +664,7 @@ def _adopt_results(engine: AttackEngine, payloads, chunks, cache) -> None:
     if not (attack_cache_default() if cache is None else cache):
         return
     for payload, chunk in zip(payloads, chunks):
-        _placement, _s, group, _backend, seed, _cache, _lanes = payload
+        _placement, _s, group, seed, _cache, _lanes = payload
         warm: Optional[Tuple[int, ...]] = None
         for (index, cell), (_index, attack) in zip(group, chunk):
             engine.memo_put((cell.k, cell.s, cell.effort, seed, warm), attack)
@@ -704,14 +674,13 @@ def _adopt_results(engine: AttackEngine, payloads, chunks, cache) -> None:
 def _partition(
     placement: Placement,
     groups: Dict[int, List[Tuple[int, AttackCell]]],
-    backend: str,
     seed: int,
     workers: int,
     cache: Optional[bool] = None,
     lanes: Optional[int] = None,
 ) -> List[
     Tuple[
-        Placement, int, List[Tuple[int, AttackCell]], str, int,
+        Placement, int, List[Tuple[int, AttackCell]], int,
         Optional[bool], Optional[int],
     ]
 ]:
@@ -733,8 +702,7 @@ def _partition(
         size = -(-len(group) // chunk_count)
         for offset in range(0, len(group), size):
             payloads.append((
-                placement, s, group[offset:offset + size], backend, seed,
-                cache, lanes,
+                placement, s, group[offset:offset + size], seed, cache, lanes,
             ))
     return payloads
 
@@ -744,7 +712,6 @@ def attack_grid(
     k_values: Sequence[int],
     s_values: Sequence[int],
     effort: str = "auto",
-    backend: Optional[str] = None,
     workers: Optional[int] = None,
     seed: int = 0,
     lanes: Optional[int] = None,
@@ -752,7 +719,6 @@ def attack_grid(
     """Full-cartesian convenience wrapper: ``{(k, s): AttackResult}``."""
     cells = [AttackCell(k, s, effort) for s in s_values for k in k_values]
     results = batch_attack(
-        placement, cells, backend=backend, workers=workers, seed=seed,
-        lanes=lanes,
+        placement, cells, workers=workers, seed=seed, lanes=lanes
     )
     return {(cell.k, cell.s): attack for cell, attack in zip(cells, results)}

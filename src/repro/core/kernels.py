@@ -1,40 +1,27 @@
-"""Pluggable damage kernels: the shared hot path of worst-case search.
+"""Damage kernels: the shared hot path of worst-case search.
 
 Every availability number in the paper (Definition 1's ``Avail(pi)`` =
 min surviving objects over all C(n, k) failure sets) bottlenecks on one
 operation: given a partial failure set, how many objects have lost at
 least ``s`` replicas, and which node kills the most next? This module
-isolates that operation behind the :class:`DamageKernel` interface with
-four interchangeable backends:
+isolates that operation behind the :class:`DamageKernel` interface:
 
-* :class:`GainKernel` — the incremental gain-table engine and the default.
-  It maintains a length-``b`` hit-count vector plus a length-``n``
-  marginal-gain table (``gain[v]`` = objects at count ``s - 1`` covered by
-  ``v``), so ``add_node``/``remove_node`` touch only the ~``r * b / n``
-  objects incident to the changed node instead of rescanning all
-  ``n * b`` pairs, ``best_addition`` is an O(n) argmax over the table,
-  and ``damage_of`` is O(1). Four backings share one contract:
-  ``native`` (C hot loops compiled at first use, see
+* :class:`GainKernel` — the incremental gain-table engine that every
+  search runs on. It maintains a length-``b`` hit-count vector plus a
+  length-``n`` marginal-gain table (``gain[v]`` = objects at count
+  ``s - 1`` covered by ``v``), so ``add_node``/``remove_node`` touch only
+  the ~``r * b / n`` objects incident to the changed node instead of
+  rescanning all ``n * b`` pairs, ``best_addition`` is an O(n) argmax
+  over the table, and ``damage_of`` is O(1). Four backings share one
+  contract: ``native`` (C hot loops compiled at first use, see
   :mod:`repro.core.native`), ``numpy`` (scatter updates + a vectorized
-  ``M @ (counts == s - 1)`` bulk rebuild), ``bitset`` (bulk rebuilds via
-  level bitmasks), and ``python`` (the dependency-free reference).
-  Selected via ``REPRO_GAIN_BACKING`` or the ``gain_backing`` argument.
-* :class:`BitsetKernel` — node-major Python ints as object bitmasks with
-  popcount via ``int.bit_count()``. ``levels[i]`` holds the bitmask of
-  objects with at least ``i + 1`` failed replicas, so adding a node is
-  ``s`` AND/OR word operations and the common s = 1..2 damage queries are
-  a single popcount — near branch-free, and dependency-free. Its
-  ``best_addition`` rescans all n candidate masks (O(n * b / 64) words).
-* :class:`NumpyKernel` — dense ``int16`` incidence with *preallocated*
-  scratch buffers and in-place ``add_node``/``remove_node`` (no per-move
-  allocation, unlike the historical ``hits + matrix[:, node]`` path).
-* :class:`PythonKernel` — per-node object lists; the fallback when numpy
-  is absent and the full-scan reference implementation.
-
-Backend choice: ``force_backend`` (a context manager, used by tests) >
-explicit ``backend=`` argument > the ``REPRO_KERNEL`` environment knob >
-``"auto"`` (the gain kernel, which never has missing dependencies — its
-backing ladder degrades from native through numpy to pure python).
+  bulk rebuild), ``bitset`` (bulk rebuilds via level bitmasks), and
+  ``python`` (the dependency-free reference). Selected via
+  ``REPRO_GAIN_BACKING`` or the ``gain_backing`` argument; ``auto``
+  degrades from native through numpy and bitset to pure python.
+* :class:`PythonKernel` — per-node object lists with full rescans. No
+  search dispatches it: it is the test oracle, independent of the
+  incremental gain logic, and tests construct it directly.
 
 Kernels bind an :class:`Incidence` — the node-major structure built once
 per placement — to one fatality threshold ``s``; the batch engine
@@ -51,9 +38,8 @@ from __future__ import annotations
 
 import os
 from array import array
-from contextlib import contextmanager
 from itertools import chain as _chain
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.core import native as _native
@@ -64,12 +50,6 @@ try:  # optional accelerator
 except ImportError:  # pragma: no cover - exercised in the no-numpy CI leg
     _np = None
 
-#: Recognized backend names, fastest-first.
-BACKENDS: Tuple[str, ...] = ("gain", "bitset", "numpy", "python")
-
-#: What ``auto`` resolves to; the gain kernel needs only the stdlib.
-DEFAULT_BACKEND = "gain"
-
 #: Recognized gain-engine backings, fastest-first: the degradation
 #: ladder. ``auto`` walks it top-down; a watchdog-detected fault demotes
 #: the failing rung for the rest of the process (see demote_backing).
@@ -79,9 +59,6 @@ GAIN_BACKINGS: Tuple[str, ...] = ("native", "numpy", "bitset", "python")
 #: ``counts[b] | gain[n] | dead``). Bumped when the layout changes;
 #: artifacts carrying a newer version fall back to a cold rebuild.
 GAIN_STATE_VERSION = 1
-
-# Stack of backends pinned by force_backend(); top of stack wins.
-_FORCED: List[str] = []
 
 # Backings demoted after a fault (backing -> reason). Process-wide: once
 # a rung is demoted, ``auto`` never climbs back to it; forked workers
@@ -128,49 +105,12 @@ def _absorb(levels: List[int], mask: int) -> None:
 
     ``levels[i]`` is the bitmask of objects with at least ``i + 1`` hits;
     the update must run top-down so each level absorbs the *previous*
-    state of the level below. Shared by both hit tracking and the suffix
-    tables, so the invariant cannot drift between damage counting and
-    branch-and-bound pruning.
+    state of the level below. Used by the bitset gain backing's bulk
+    rebuild.
     """
     for i in range(len(levels) - 1, 0, -1):
         levels[i] |= levels[i - 1] & mask
     levels[0] |= mask
-
-
-@contextmanager
-def force_backend(name: str) -> Iterator[None]:
-    """Pin kernel selection for the dynamic extent of the ``with`` block.
-
-    Overrides both explicit ``backend=`` arguments and ``REPRO_KERNEL``,
-    and unwinds on exit even when the body raises — the replacement for
-    the old ``_FORCE_PURE_PYTHON`` mutable global, which leaked between
-    tests. Nested blocks stack; the innermost wins.
-    """
-    if name not in BACKENDS:
-        raise ValueError(f"unknown kernel backend {name!r}; use one of {BACKENDS}")
-    if name == "numpy" and _np is None:
-        raise ValueError("cannot force the numpy backend: numpy is not importable")
-    _FORCED.append(name)
-    try:
-        yield
-    finally:
-        _FORCED.pop()
-
-
-def resolve_backend(requested: Optional[str] = None) -> str:
-    """The concrete backend to use, honoring forcing, argument and env."""
-    if _FORCED:
-        return _FORCED[-1]
-    choice = requested or os.environ.get("REPRO_KERNEL", "auto") or "auto"
-    if choice == "auto":
-        return DEFAULT_BACKEND
-    if choice not in BACKENDS:
-        raise ValueError(
-            f"unknown kernel backend {choice!r}; use auto or one of {BACKENDS}"
-        )
-    if choice == "numpy" and _np is None:
-        raise ValueError("numpy backend requested but numpy is not importable")
-    return choice
 
 
 def resolve_gain_backing(requested: Optional[str] = None) -> str:
@@ -214,10 +154,11 @@ def resolve_gain_backing(requested: Optional[str] = None) -> str:
 class Incidence:
     """Node-major incidence structures for one placement, built lazily.
 
-    One instance is shared by every kernel (any ``s``, any backend) and
+    One instance is shared by every kernel (any ``s``, any backing) and
     every attack cell evaluated against the same placement: bitmasks for
-    the bitset kernel, the dense matrix for numpy, suffix replica counts
-    for branch-and-bound optimistic bounds.
+    the bitset backing, CSR arrays for the native backing, index arrays
+    and the dense suffix matrix for numpy, suffix replica counts for
+    branch-and-bound optimistic bounds.
     """
 
     def __init__(self, placement: Placement) -> None:
@@ -225,9 +166,7 @@ class Incidence:
         self.n = placement.n
         self.b = placement.b
         self._masks: Optional[List[int]] = None
-        self._suffix_masks: Optional[List[List[int]]] = None
         self._matrix = None
-        self._columns = None
         self._suffix_matrix = None
         self._suffix_counts: Optional[List[List[int]]] = None
         self._object_nodes: Optional[Tuple[Tuple[int, ...], ...]] = None
@@ -255,24 +194,6 @@ class Incidence:
     def full_mask(self) -> int:
         return (1 << self.b) - 1
 
-    def suffix_masks(self) -> List[List[int]]:
-        """``table[j][d]`` = bitmask of objects with >= d replicas on nodes >= j.
-
-        Built in one backward sweep with the same saturating-level update
-        the bitset kernel uses for hits; d ranges over 1..r (index 0 unused).
-        """
-        if self._suffix_masks is None:
-            r = self.placement.r
-            masks = self.node_masks()
-            levels = [0] * r
-            table: List[List[int]] = [[]] * (self.n + 1)
-            table[self.n] = [0] + list(levels)
-            for j in range(self.n - 1, -1, -1):
-                _absorb(levels, masks[j])
-                table[j] = [0] + list(levels)  # index 0 unused; table[j][d]
-            self._suffix_masks = table
-        return self._suffix_masks
-
     # -- numpy structures --------------------------------------------------
 
     def matrix(self):
@@ -283,12 +204,6 @@ class Incidence:
             matrix[_np.arange(self.b)[:, None], rows] = 1
             self._matrix = matrix
         return self._matrix
-
-    def columns(self):
-        """``columns[node]`` = contiguous incidence row for one node."""
-        if self._columns is None:
-            self._columns = _np.ascontiguousarray(self.matrix().T)
-        return self._columns
 
     def suffix_matrix(self):
         """``suffix[o, j]`` = replicas of object ``o`` on nodes >= j."""
@@ -642,9 +557,7 @@ class DeltaIncidence(Incidence):
         self.placement = placement
         # Lazy aggregates are stale; drop them for on-demand rebuild.
         # (The padded CSR is NOT dropped — it was maintained above.)
-        self._suffix_masks = None
         self._matrix = None
-        self._columns = None
         self._suffix_matrix = None
         self._suffix_counts = None
         self._object_nodes = None
@@ -718,8 +631,8 @@ class DamageKernel:
     def best_addition(self, hits, banned: Sequence[int]) -> Tuple[int, int]:
         """(node, resulting damage) maximizing damage after adding one node.
 
-        Ties break toward the lowest node id in every backend, so search
-        trajectories (and therefore heuristic results) are backend-independent.
+        Ties break toward the lowest node id in every kernel, so search
+        trajectories (and therefore heuristic results) are kernel-independent.
         """
         raise NotImplementedError
 
@@ -729,8 +642,8 @@ class DamageKernel:
         Counts objects that are dead already or still killable: deficit
         (replicas to reach ``s``) at most ``slots`` *and* reachable among
         the not-yet-considered nodes. Used by branch-and-bound pruning.
-        This bound is backend-independent by contract (the property tests
-        pin it); backend-specific tightenings go in :meth:`refined_bound`.
+        This bound is kernel-independent by contract (the property tests
+        pin it); kernel-specific tightenings go in :meth:`refined_bound`.
         """
         raise NotImplementedError
 
@@ -740,10 +653,10 @@ class DamageKernel:
         Combines :meth:`optimistic_bound` with the degree cap: every
         not-yet-dead object needs at least one added incidence to die, so
         a completion of ``slots`` nodes from the suffix kills at most
-        ``top_degree_sum(start, slots)`` new objects. Backends with more
+        ``top_degree_sum(start, slots)`` new objects. Kernels with more
         state may tighten further (the gain kernel resolves one-slot
         completions exactly), so unlike ``optimistic_bound`` the value may
-        differ between backends — it only has to stay sound.
+        differ between kernels — it only has to stay sound.
         """
         bound = self.optimistic_bound(hits, start, slots)
         cap = self.damage_of(hits) + self.incidence.top_degree_sum(start, slots)
@@ -756,7 +669,7 @@ class DamageKernel:
         iff the resulting damage strictly beats ``current``, and restores
         ``node`` otherwise. ``banned`` must not contain ``node`` (so the
         no-op swap is a legal candidate). Returns
-        ``(hits, swapped_in_node_or_None, resulting_damage)``; backends
+        ``(hits, swapped_in_node_or_None, resulting_damage)``; kernels
         with fused state (the native gain backing) override this to run
         the whole position in one call.
         """
@@ -777,7 +690,7 @@ class DamageKernel:
         overrides this to run the whole sweep in one foreign call;
         semantics (visit order, tie-breaks, strict-improvement rule) are
         identical everywhere, so search trajectories stay
-        backend-independent.
+        kernel-independent.
         """
         banned = set(nodes)
         improved = False
@@ -835,160 +748,14 @@ class DamageKernel:
         return [self.polish_chain(seed) for seed in seeds]
 
 
-class _BitsetHits:
-    """Mutable bitset hit state: chosen nodes + saturating level masks."""
-
-    __slots__ = ("nodes", "levels")
-
-    def __init__(self, s: int) -> None:
-        self.nodes: List[int] = []
-        self.levels: List[int] = [0] * s
-
-
-class BitsetKernel(DamageKernel):
-    """Python-int bitmask backend; see the module docstring."""
-
-    name = "bitset"
-
-    def __init__(self, incidence: Incidence, s: int) -> None:
-        super().__init__(incidence, s)
-        self.masks = incidence.node_masks()
-
-    def rebind(self) -> bool:
-        # The mask list is the delta incidence's live object; only the
-        # cached shape (b, placement) needs refreshing.
-        self._refresh_shape()
-        return True
-
-    def empty_hits(self) -> _BitsetHits:
-        return _BitsetHits(self.s)
-
-    def add_node(self, hits: _BitsetHits, node: int) -> _BitsetHits:
-        _absorb(hits.levels, self.masks[node])
-        hits.nodes.append(node)
-        return hits
-
-    def remove_node(self, hits: _BitsetHits, node: int) -> _BitsetHits:
-        # Saturating levels cannot be decremented; rebuild from survivors.
-        # The failure sets under search are tiny (k <= n), so this stays
-        # O(k * s) word-vector operations.
-        hits.nodes.remove(node)
-        levels = [0] * self.s
-        for kept in hits.nodes:
-            _absorb(levels, self.masks[kept])
-        hits.levels = levels
-        return hits
-
-    def damage_of(self, hits: _BitsetHits) -> int:
-        return hits.levels[self.s - 1].bit_count()
-
-    def best_addition(self, hits: _BitsetHits, banned: Sequence[int]) -> Tuple[int, int]:
-        masks = self.masks
-        banned_set = set(banned)
-        best_node, best_damage = -1, -1
-        top = hits.levels[self.s - 1]
-        if self.s == 1:
-            for node in range(self.n):
-                if node in banned_set:
-                    continue
-                d = (top | masks[node]).bit_count()
-                if d > best_damage:
-                    best_node, best_damage = node, d
-        else:
-            sub = hits.levels[self.s - 2]
-            for node in range(self.n):
-                if node in banned_set:
-                    continue
-                d = (top | (sub & masks[node])).bit_count()
-                if d > best_damage:
-                    best_node, best_damage = node, d
-        return best_node, best_damage
-
-    def optimistic_bound(self, hits: _BitsetHits, start: int, slots: int) -> int:
-        suffix = self.incidence.suffix_masks()[start]
-        levels = hits.levels
-        killable = levels[self.s - 1]
-        for deficit in range(1, min(slots, self.s) + 1):
-            if deficit < self.s:
-                # Objects with >= s - deficit hits already...
-                reachable = levels[self.s - deficit - 1]
-            else:
-                # ...or any object at all when s more failures suffice.
-                reachable = self.incidence.full_mask()
-            # ...that still have >= deficit replicas on unconsidered nodes.
-            killable |= reachable & suffix[deficit]
-        return killable.bit_count()
-
-
-class NumpyKernel(DamageKernel):
-    """Dense-matrix backend with preallocated scratch buffers."""
-
-    name = "numpy"
-
-    def __init__(self, incidence: Incidence, s: int) -> None:
-        if _np is None:
-            raise RuntimeError("NumpyKernel requires numpy")
-        super().__init__(incidence, s)
-        self.matrix = incidence.matrix()
-        self.columns = incidence.columns()
-        b, n = self.b, self.n
-        self._totals = _np.empty((b, n), dtype=_np.int16)
-        self._killed = _np.empty((b, n), dtype=bool)
-        self._damages = _np.empty(n, dtype=_np.int64)
-        self._dead = _np.empty(b, dtype=bool)
-        self._deficit = _np.empty(b, dtype=_np.int16)
-        self._bound_a = _np.empty(b, dtype=bool)
-        self._bound_b = _np.empty(b, dtype=bool)
-
-    def empty_hits(self):
-        return _np.zeros(self.b, dtype=_np.int16)
-
-    def add_node(self, hits, node: int):
-        hits += self.columns[node]
-        return hits
-
-    def remove_node(self, hits, node: int):
-        hits -= self.columns[node]
-        return hits
-
-    def damage_of(self, hits) -> int:
-        _np.greater_equal(hits, self.s, out=self._dead)
-        return int(self._dead.sum())
-
-    def best_addition(self, hits, banned: Sequence[int]) -> Tuple[int, int]:
-        _np.add(hits[:, None], self.matrix, out=self._totals)
-        _np.greater_equal(self._totals, self.s, out=self._killed)
-        self._killed.sum(axis=0, out=self._damages)
-        if banned:
-            self._damages[list(banned)] = -1
-        node = int(self._damages.argmax())
-        return node, int(self._damages[node])
-
-    def optimistic_bound(self, hits, start: int, slots: int) -> int:
-        suffix = self.incidence.suffix_matrix()
-        deficit = self._deficit
-        _np.subtract(self.s, hits, out=deficit)
-        _np.less_equal(deficit, slots, out=self._bound_a)
-        _np.greater_equal(suffix[:, start], deficit, out=self._bound_b)
-        self._bound_a &= self._bound_b
-        _np.less_equal(deficit, 0, out=self._bound_b)
-        self._bound_a |= self._bound_b
-        return int(self._bound_a.sum())
-
-
 class PythonKernel(DamageKernel):
-    """Per-node object lists; the dependency-free reference backend."""
+    """Per-node object lists with full rescans; the test oracle."""
 
     name = "python"
 
     def __init__(self, incidence: Incidence, s: int) -> None:
         super().__init__(incidence, s)
         self.node_objects = incidence.node_objects()
-
-    def rebind(self) -> bool:
-        self._refresh_shape()
-        self.node_objects = self.incidence.node_objects()
-        return True
 
     def empty_hits(self) -> List[int]:
         return [0] * self.b
@@ -1058,7 +825,7 @@ class GainKernel(DamageKernel):
     incident to the changed node and propagate boundary crossings (counts
     hitting ``s - 1`` or ``s``) to the ~``r`` incident nodes of each
     crossing object — O(r^2 * b / n) per move versus the O(n * b) rescans
-    of the full-scan kernels. ``best_addition`` is an O(n) argmax over the
+    of a full-scan kernel. ``best_addition`` is an O(n) argmax over the
     table (zero-gain candidates never cost a damage evaluation — the
     candidate pruning of classic max-coverage local search), and
     ``damage_of`` is O(1).
@@ -1728,29 +1495,20 @@ _GAIN_KERNELS = {
 def make_kernel(
     placement: Placement,
     s: int,
-    backend: Optional[str] = None,
     incidence: Optional[Incidence] = None,
     gain_backing: Optional[str] = None,
 ) -> DamageKernel:
-    """Build the damage kernel for ``(placement, s)``.
+    """Build the gain kernel for ``(placement, s)``.
 
     Pass ``incidence`` to share one :class:`Incidence` across several
     kernels (different ``s``) over the same placement. ``gain_backing``
-    pins the gain engine's backing (default: ``REPRO_GAIN_BACKING``/auto);
-    it is ignored by the full-scan backends.
+    pins the backing (default: ``REPRO_GAIN_BACKING``/auto).
     """
-    chosen = resolve_backend(backend)
     if incidence is None:
         incidence = Incidence(placement)
     elif incidence.placement is not placement:
         raise ValueError("incidence was built for a different placement")
-    if chosen == "gain":
-        return _dispatch_gain_kernel(incidence, s, gain_backing)
-    if chosen == "bitset":
-        return BitsetKernel(incidence, s)
-    if chosen == "numpy":
-        return NumpyKernel(incidence, s)
-    return PythonKernel(incidence, s)
+    return _dispatch_gain_kernel(incidence, s, gain_backing)
 
 
 def _dispatch_gain_kernel(

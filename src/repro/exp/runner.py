@@ -16,14 +16,11 @@ Execution model:
   including 1. This is deliberately stronger than the pre-refactor
   figure loops, whose intra-grid chunking could drift under
   ``REPRO_WORKERS >= 2``;
-* sharded fan-out has two modes (``REPRO_SHARD_MODE``): the default
-  ``pool`` keeps one persistent supervised worker per slot and routes
-  shards by the kernel's *affinity* key, so a worker's process-local
-  engine cache serves every shard attacking the same placement instead
-  of being rebuilt fork after fork; ``fork`` is the
-  fresh-process-per-attempt fan-out. Both are supervised identically
-  (watchdog, bounded retries, degradation ladder) and both are
-  bit-identical to the serial run;
+* sharded fan-out keeps one persistent supervised worker per slot and
+  routes shards by the kernel's *affinity* key, so a worker's
+  process-local engine cache serves every shard attacking the same
+  placement. Supervision (watchdog, bounded retries, degradation
+  ladder) keeps the sharded run bit-identical to the serial run;
 * shards are scheduled longest-first (``group_cost`` hint) but
   **committed in expansion order**: a shard that finishes early parks in
   memory until every earlier shard has been flushed. The store therefore
@@ -40,6 +37,7 @@ Execution model:
 from __future__ import annotations
 
 import json
+import math
 import os
 import signal
 import time
@@ -92,21 +90,12 @@ def _env_shard_timeout() -> Optional[float]:
         raise ValueError(
             f"REPRO_SHARD_TIMEOUT must be a float (seconds), got {raw!r}"
         ) from None
-    if value <= 0:
-        raise ValueError(f"REPRO_SHARD_TIMEOUT must be > 0, got {value}")
-    return value
-
-
-def _env_shard_mode() -> str:
-    """``REPRO_SHARD_MODE``: ``pool`` (persistent workers) or ``fork``."""
-    raw = os.environ.get("REPRO_SHARD_MODE")
-    if raw is None or raw == "":
-        return "pool"
-    if raw not in ("pool", "fork"):
+    # A NaN deadline never fires, so it would turn the watchdog off.
+    if not math.isfinite(value) or value <= 0:
         raise ValueError(
-            f"REPRO_SHARD_MODE must be 'pool' or 'fork', got {raw!r}"
+            f"REPRO_SHARD_TIMEOUT must be a finite number > 0, got {value}"
         )
-    return raw
+    return value
 
 
 def _backoff_delay(spec_hash: str, start: int, attempt: int, previous: float) -> float:
@@ -275,88 +264,12 @@ def _run_group_task(payload: Tuple[str, int, List[Dict[str, Any]]]):
 
     Kept as the benchmark baseline for the supervisor's overhead gate
     (``benchmarks/bench_chaos.py``) — production runs go through
-    :func:`_shard_worker` under the supervisor.
+    :func:`_pool_worker` under the supervisor.
     """
     spec_json, ordinal, cells = payload
     spec = ExperimentSpec.from_dict(json.loads(spec_json))
     kernel = registry.kernel(spec.experiment)
     return ordinal, kernel.run_group(spec, cells)
-
-
-def _shard_worker(
-    spec_json: str,
-    ordinal: int,
-    start: int,
-    attempt: int,
-    cells: List[Dict[str, Any]],
-    thread_budget: int,
-    lane_budget: Optional[int],
-    queue: Any,
-) -> None:
-    """Supervised worker entry: compute one shard, post one message.
-
-    Every outcome becomes a ``(ordinal, attempt, status, payload)``
-    message; an ``ok`` payload is ``(chunk, metrics_delta)`` — the shard's
-    results plus everything it recorded in the metrics registry since
-    task start, which the supervisor merges so counter totals stay exact
-    for any worker count and invariant under retried-then-successful
-    shards (failed attempts never post ``ok``, so their recordings are
-    discarded with the process). A worker that dies without posting
-    (crash, SIGKILL, hang killed by the watchdog) is detected by the
-    supervisor's liveness sweep instead.
-
-    After the message is safely on the wire the worker leaves via
-    ``os._exit`` instead of a normal interpreter exit: a fresh process
-    is forked per shard attempt, so skipping teardown (GC of the
-    inherited heap, atexit handlers) trims the per-shard fixed cost the
-    supervisor pays over a reusing worker pool.
-    """
-    from repro.core import adversary, native
-
-    try:
-        native.configure_threads(thread_budget)
-        if lane_budget is not None:
-            adversary.configure_lanes(lane_budget)
-        spec = ExperimentSpec.from_dict(json.loads(spec_json))
-        kernel = registry.kernel(spec.experiment)
-        # Forked workers inherit the parent's counter values, so the
-        # shard reports the delta between here and completion.
-        mark = obs.checkpoint()
-        faults.inject(
-            "runner.shard_start", start=start, ordinal=ordinal,
-            attempt=attempt, mode="shard",
-        )
-    except BaseException as exc:  # noqa: BLE001 - reported, then retried
-        _post_and_exit(queue, (ordinal, attempt, "error",
-                               f"{type(exc).__name__}: {exc}"))
-    try:
-        with obs.span(
-            "runner.shard", start=start, ordinal=ordinal,
-            attempt=attempt, mode="shard",
-        ):
-            chunk = list(kernel.run_group(spec, cells))
-        payload = (chunk, obs.delta_since(mark))
-    except BaseException as exc:  # noqa: BLE001 - reported, then retried
-        _post_and_exit(queue, (ordinal, attempt, "error",
-                               f"{type(exc).__name__}: {exc}"))
-    _post_and_exit(queue, (ordinal, attempt, "ok", payload))
-
-
-def _post_and_exit(queue: Any, message: Any) -> None:
-    """Post one message, drain the queue's feeder thread, exit hard.
-
-    ``queue.put`` only hands the pickle to a feeder thread;
-    ``close`` + ``join_thread`` block until the bytes are in the pipe,
-    which makes the ``os._exit`` safe — the supervisor either sees the
-    whole message or (exit code 70) a dead worker to re-dispatch.
-    """
-    try:
-        queue.put(message)
-        queue.close()
-        queue.join_thread()
-    except BaseException:  # noqa: BLE001 - dead pipe: let liveness sweep act
-        os._exit(70)
-    os._exit(0)
 
 
 def run_experiment(
@@ -397,8 +310,7 @@ def run_experiment(
     count.
 
     Sharded runs are *supervised*: shards run on a persistent
-    affinity-routed worker pool (``REPRO_SHARD_MODE=fork`` restores the
-    fork-per-attempt fan-out) with a wall-clock watchdog
+    affinity-routed worker pool with a wall-clock watchdog
     (``shard_timeout`` / ``REPRO_SHARD_TIMEOUT``; off by default) and up
     to ``shard_retries`` re-dispatches (``REPRO_SHARD_RETRIES``, default
     2) under seeded decorrelated-jitter backoff. A re-dispatched shard replays its whole
@@ -435,8 +347,12 @@ def run_experiment(
         raise ValueError(f"shard_retries must be >= 0, got {shard_retries}")
     if shard_timeout is None:
         shard_timeout = _env_shard_timeout()
-    if shard_timeout is not None and shard_timeout <= 0:
-        raise ValueError(f"shard_timeout must be > 0, got {shard_timeout}")
+    if shard_timeout is not None and (
+        not math.isfinite(shard_timeout) or shard_timeout <= 0
+    ):
+        raise ValueError(
+            f"shard_timeout must be a finite number > 0, got {shard_timeout}"
+        )
     demoted_before = set(kernels.demoted_backings())
 
     cells = [dict(cell) for cell in kernel.expand(spec)]
@@ -491,9 +407,9 @@ def run_experiment(
                 state.flush()
 
         if workers > 1 and len(pending) > 1:
-            _run_sharded(
+            _run_sharded_pool(
                 spec, kernel, cells, pending, workers, flush, threads,
-                shard_timeout, shard_retries, lanes=lanes,
+                shard_timeout, shard_retries, lanes,
             )
         else:
             # Serial run with pinned budgets: configure, compute,
@@ -609,219 +525,6 @@ def _run_group_serial(
             delay = _backoff_delay(spec_hash, group.start, attempt + 1, delay)
             time.sleep(delay)
     raise AssertionError("unreachable")  # pragma: no cover
-
-
-class _Slot:
-    """Supervision state for one in-flight shard attempt."""
-
-    __slots__ = ("proc", "attempt", "deadline", "reap_at")
-
-    def __init__(self, proc, attempt, deadline):
-        self.proc = proc
-        self.attempt = attempt
-        self.deadline = deadline
-        self.reap_at = None  # set when found dead without a result
-
-
-def _run_sharded(
-    spec, kernel, cells, pending, workers, flush, threads=None,
-    shard_timeout=None, shard_retries=2, mode=None, lanes=None,
-) -> int:
-    """Supervised shard fan-out; commit in expansion order. Returns retries.
-
-    Dispatches on ``mode`` (default: ``REPRO_SHARD_MODE``, ``pool`` when
-    unset): ``pool`` runs shards on a persistent affinity-routed worker
-    pool (:func:`_run_sharded_pool`), ``fork`` forks one fresh process
-    per shard attempt (:func:`_run_sharded_forked`). Results are
-    bit-identical either way; only the process economics differ.
-    """
-    if mode is None:
-        mode = _env_shard_mode()
-    run = _run_sharded_forked if mode == "fork" else _run_sharded_pool
-    return run(
-        spec, kernel, cells, pending, workers, flush, threads,
-        shard_timeout, shard_retries, lanes,
-    )
-
-
-def _run_sharded_forked(
-    spec, kernel, cells, pending, workers, flush, threads=None,
-    shard_timeout=None, shard_retries=2, lanes=None,
-) -> int:
-    """Fork-per-attempt shard fan-out; commit in expansion order.
-
-    Each pending shard runs in its own forked worker process (fresh fork
-    per attempt, so re-dispatches inherit supervisor-side state such as
-    backing demotions). The supervisor loop dispatches up to ``workers``
-    shards at once, longest-first, and watches for three failure shapes:
-
-    * an ``error`` message — the worker caught an exception (injected or
-      real) and reported it;
-    * a watchdog timeout — the worker exceeded ``shard_timeout`` wall
-      clock and is killed (hung kernel, injected hang);
-    * a silent death — the process exited without posting a result
-      (SIGKILL, ``os._exit``, segfault), detected by the liveness sweep
-      after a short drain grace.
-
-    Failed shards are re-dispatched up to ``shard_retries`` times under
-    seeded decorrelated-jitter backoff; because a shard's randomness
-    derives from the spec alone, a replayed shard recomputes the exact
-    incumbent chain and the run stays bit-identical to a fault-free one.
-    Repeated watchdog faults (timeout / silent death) on one shard demote
-    the auto gain backing one ladder rung before the next dispatch.
-
-    Each worker gets an equal slice of the kernel thread budget
-    (``threads`` or the ambient ``REPRO_NATIVE_THREADS``/cpu default), so
-    shard fan-out and in-kernel threading compose instead of
-    oversubscribing.
-    """
-    import multiprocessing
-    from queue import Empty
-
-    from repro.core import native
-
-    spec_json = json.dumps(spec.to_dict())
-    spec_hash = spec.spec_hash()
-    order = sorted(
-        range(len(pending)),
-        key=lambda i: (-_group_cost(spec, kernel, pending[i], cells), i),
-    )
-    methods = multiprocessing.get_all_start_methods()
-    context = multiprocessing.get_context("fork" if "fork" in methods else None)
-    processes = min(workers, len(pending))
-    budget = threads if threads is not None else native.thread_count()
-    per_worker = max(1, budget // processes)
-    lane_budget = max(1, lanes // processes) if lanes is not None else None
-
-    queue = context.Queue()
-    waiting: List[int] = list(order)
-    blocked: List[Tuple[float, int]] = []  # (not-before, ordinal) backoffs
-    slots: Dict[int, _Slot] = {}
-    finished: Dict[int, Any] = {}
-    attempts: Dict[int, int] = {}
-    delays: Dict[int, float] = {}
-    next_flush = 0
-    retries = 0
-
-    def launch(ordinal: int) -> None:
-        group = pending[ordinal]
-        attempt = attempts.get(ordinal, 0)
-        proc = context.Process(
-            target=_shard_worker,
-            args=(
-                spec_json, ordinal, group.start, attempt,
-                cells[group.start:group.end], per_worker, lane_budget,
-                queue,
-            ),
-            daemon=True,
-        )
-        proc.start()
-        deadline = (
-            time.monotonic() + shard_timeout if shard_timeout is not None else None
-        )
-        slots[ordinal] = _Slot(proc, attempt, deadline)
-
-    def fail(ordinal: int, reason: str, watchdog: bool) -> None:
-        nonlocal retries
-        group = pending[ordinal]
-        count = attempts.get(ordinal, 0) + 1
-        attempts[ordinal] = count
-        if count > shard_retries:
-            raise ExperimentError(
-                f"shard at cells[{group.start}:{group.end}] of "
-                f"{spec.experiment!r} failed after {count} attempts: {reason}"
-            )
-        retries += 1
-        obs.count("runner.shard_retries")
-        obs.record_event(
-            "runner.shard_retry", start=group.start, attempt=count,
-            reason=reason, watchdog=watchdog,
-        )
-        if watchdog and count >= 2:
-            _demote_after_watchdog(
-                f"shard at cells[{group.start}:{group.end}]: {reason}"
-            )
-        delay = _backoff_delay(
-            spec_hash, group.start, count, delays.get(ordinal, _BACKOFF_BASE)
-        )
-        delays[ordinal] = delay
-        blocked.append((time.monotonic() + delay, ordinal))
-
-    try:
-        while next_flush < len(pending):
-            now = time.monotonic()
-            for entry in list(blocked):
-                if entry[0] <= now:
-                    blocked.remove(entry)
-                    waiting.insert(0, entry[1])
-            while waiting and len(slots) < processes:
-                launch(waiting.pop(0))
-            if not slots:
-                # Everything in flight is backing off; sleep toward the
-                # earliest retry instead of spinning.
-                wake = min(entry[0] for entry in blocked)
-                time.sleep(max(0.0, min(wake - time.monotonic(), _BACKOFF_CAP)))
-                continue
-            try:
-                message = queue.get(timeout=0.05)
-            except Empty:
-                message = None
-            if message is not None:
-                ordinal, attempt, status, payload = message
-                slot = slots.get(ordinal)
-                if slot is not None and slot.attempt == attempt:
-                    slot.proc.join()
-                    del slots[ordinal]
-                    if status == "ok":
-                        chunk, delta = payload
-                        # Merge only successful attempts' recordings:
-                        # failed/killed attempts never post ok, so their
-                        # half-done work never skews the totals.
-                        obs.merge_delta(delta)
-                        finished[ordinal] = chunk
-                    else:
-                        fail(ordinal, payload, watchdog=False)
-                # else: stale message from a killed attempt — drop it.
-            now = time.monotonic()
-            for ordinal, slot in list(slots.items()):
-                if slot.deadline is not None and now >= slot.deadline:
-                    slot.proc.kill()
-                    slot.proc.join()
-                    del slots[ordinal]
-                    fail(
-                        ordinal,
-                        f"exceeded the {shard_timeout:.1f}s shard watchdog",
-                        watchdog=True,
-                    )
-                elif not slot.proc.is_alive():
-                    if slot.reap_at is None:
-                        slot.reap_at = now + _REAP_GRACE
-                    elif now >= slot.reap_at:
-                        code = slot.proc.exitcode
-                        slot.proc.join()
-                        del slots[ordinal]
-                        fail(
-                            ordinal,
-                            f"worker died without a result (exit code {code})",
-                            watchdog=True,
-                        )
-            while next_flush in finished:
-                flush(pending[next_flush], finished.pop(next_flush))
-                next_flush += 1
-    finally:
-        # Always reap every child — KeyboardInterrupt included — so an
-        # interrupted run releases the store lock with no orphan workers.
-        for slot in slots.values():
-            if slot.proc.is_alive():
-                slot.proc.terminate()
-        for slot in slots.values():
-            slot.proc.join(timeout=5)
-            if slot.proc.is_alive():
-                slot.proc.kill()
-                slot.proc.join(timeout=5)
-        queue.close()
-        queue.cancel_join_thread()
-    return retries
 
 
 def _bind_to_supervisor() -> None:
@@ -944,10 +647,10 @@ def _affinity_plan(spec, kernel, cells, pending, slots) -> List[List[int]]:
     first, onto the least-loaded slot (ties: lowest slot), so every
     shard attacking one placement lands on one worker and hits its
     engine cache. Within a slot classes keep their placement order and
-    each class runs its own shards longest-first — the fork scheduler's
-    LPT instinct, applied per worker. The plan depends only on
-    (spec, kernel, cells), never on timing, so the shard->worker map is
-    reproducible run to run and crash to crash.
+    each class runs its own shards longest-first (LPT, applied per
+    worker). The plan depends only on (spec, kernel, cells), never on
+    timing, so the shard->worker map is reproducible run to run and crash
+    to crash.
     """
     costs = [_group_cost(spec, kernel, group, cells) for group in pending]
     classes: Dict[Any, List[int]] = {}
@@ -990,10 +693,23 @@ def _run_sharded_pool(
     drops from fork + engine rebuild to a queue hop — and because
     :func:`_affinity_plan` groups shards by the kernel's affinity key,
     a worker's process-local engine cache serves every shard that
-    attacks the same placement. Supervision matches the forked runner
-    failure for failure: the same watchdog, the same silent-death
-    sweep, the same bounded retries under seeded backoff, the same
-    demotion ladder. A failed worker is replaced in place — fresh fork,
+    attacks the same placement. The supervisor watches for three failure
+    shapes:
+
+    * an ``error`` message — the worker caught an exception (injected or
+      real) and reported it;
+    * a watchdog timeout — the shard exceeded ``shard_timeout`` wall
+      clock and its worker is killed (hung kernel, injected hang);
+    * a silent death — the worker exited without posting a result
+      (SIGKILL, ``os._exit``, segfault), detected by the liveness sweep
+      after a short drain grace.
+
+    Failed shards are re-dispatched up to ``shard_retries`` times under
+    seeded decorrelated-jitter backoff; because a shard's randomness
+    derives from the spec alone, a replayed shard recomputes the exact
+    incumbent chain and the run stays bit-identical to a fault-free one.
+    Repeated watchdog faults on one shard demote the auto gain backing
+    one ladder rung. A failed worker is replaced in place — fresh fork,
     fresh task queue, same slot — and its shard retries at the front of
     that slot's queue, so the deterministic shard->worker map survives
     any crash schedule. Demotions bump an epoch; idle workers older

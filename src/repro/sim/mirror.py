@@ -29,11 +29,9 @@ class EngineMirror:
     def __init__(
         self,
         n: int,
-        backend: Optional[str] = None,
         strategy_label: str = "sim",
     ) -> None:
         self.n = n
-        self.backend = backend
         self.strategy_label = strategy_label
         self.engine: Optional[AttackEngine] = None
         self._slot_ids: List[int] = []          # slot -> external id
@@ -134,7 +132,7 @@ class EngineMirror:
             [self._pending_add[obj_id] for obj_id in ids],
             strategy=self.strategy_label,
         )
-        self.engine = AttackEngine(placement, backend=self.backend)
+        self.engine = AttackEngine(placement)
         self._slot_ids = ids
         self._slots = {obj_id: slot for slot, obj_id in enumerate(ids)}
         self._pending_add.clear()

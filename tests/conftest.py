@@ -4,12 +4,43 @@ import random
 
 import pytest
 
-from repro.core.kernels import BACKENDS, force_backend, numpy_available
+from repro.core.kernels import (
+    GAIN_BACKINGS,
+    Incidence,
+    PythonKernel,
+    make_kernel,
+    resolve_gain_backing,
+)
 
 
-def available_backends():
-    """Every kernel backend runnable in this environment."""
-    return [b for b in BACKENDS if b != "numpy" or numpy_available()]
+def available_gain_backings():
+    """Every gain backing runnable in this environment."""
+    available = []
+    for backing in GAIN_BACKINGS:
+        try:
+            resolve_gain_backing(backing)
+        except ValueError:
+            continue
+        available.append(backing)
+    return available
+
+
+def kernel_implementations():
+    """Every kernel implementation a search can be checked on.
+
+    ``gain`` is the kernel as production builds it (auto backing); each
+    runnable backing is also pinned by name; ``oracle`` is the full-scan
+    :class:`PythonKernel`, independent of the incremental gain logic.
+    """
+    return ["gain"] + available_gain_backings() + ["oracle"]
+
+
+def build_kernel(name, placement, s):
+    """The kernel ``name`` (see kernel_implementations) for (placement, s)."""
+    if name == "oracle":
+        return PythonKernel(Incidence(placement), s)
+    backing = None if name == "gain" else name
+    return make_kernel(placement, s, gain_backing=backing)
 
 
 def pytest_configure(config):
@@ -24,20 +55,17 @@ def rng():
     return random.Random(0xC0FFEE)
 
 
-@pytest.fixture(params=available_backends())
-def each_backend(request):
-    """Run the test once per kernel backend, pinned via force_backend.
-
-    The context manager unwinds on teardown, so a failing test can never
-    leak its backend choice into the rest of the session (the failure mode
-    of the old _FORCE_PURE_PYTHON mutable global).
-    """
-    with force_backend(request.param):
-        yield request.param
-
-
 @pytest.fixture
-def pure_python_kernels():
-    """Pin the dependency-free kernel for the duration of one test."""
-    with force_backend("python"):
-        yield
+def gain_backings():
+    """The gain backings runnable in this environment, fastest first."""
+    return available_gain_backings()
+
+
+@pytest.fixture(params=kernel_implementations())
+def each_kernel(request):
+    """A ``(placement, s) -> kernel`` factory, once per implementation.
+
+    Tests hand the kernel it builds to the search engines explicitly, so
+    no process-wide selection state exists that could leak between tests.
+    """
+    return lambda placement, s: build_kernel(request.param, placement, s)

@@ -94,38 +94,36 @@ class TestCrossEngineAgreement:
 
 
 class TestBackendLadder:
-    """Every kernel backend drives the full adversary ladder identically."""
+    """Every kernel implementation drives the full adversary ladder
+    identically: each gain backing and the full-scan oracle."""
 
-    def test_exhaustive_agrees_across_backends(self, each_backend):
+    def test_exhaustive_agrees_across_backends(self, each_kernel):
         p = random_placement(10, 3, 30, 1)
-        result = ExhaustiveAdversary().attack(p, 3, 2)
-        assert result.damage == ExhaustiveAdversary().attack(p, 3, 2).damage
+        result = ExhaustiveAdversary().attack(p, 3, 2, kernel=each_kernel(p, 2))
+        assert result == ExhaustiveAdversary().attack(p, 3, 2)
         assert damage(p, result.nodes, 2) == result.damage
 
-    def test_local_search_consistent(self, each_backend):
+    def test_local_search_consistent(self, each_kernel):
         p = random_placement(10, 3, 30, 2)
-        result = LocalSearchAdversary(restarts=1).attack(p, 3, 2)
+        result = LocalSearchAdversary(restarts=1).attack(
+            p, 3, 2, kernel=each_kernel(p, 2)
+        )
+        assert result == LocalSearchAdversary(restarts=1).attack(p, 3, 2)
         assert damage(p, result.nodes, 2) == result.damage
 
-    def test_bnb_exact_per_backend(self, each_backend):
+    def test_bnb_exact_per_backend(self, each_kernel):
         p = random_placement(9, 3, 20, 3)
         expected = ExhaustiveAdversary().attack(p, 3, 2).damage
-        result = BranchAndBoundAdversary().attack(p, 3, 2)
+        result = BranchAndBoundAdversary().attack(
+            p, 3, 2, kernel=each_kernel(p, 2)
+        )
         assert result.exact
         assert result.damage == expected
 
-    def test_forcing_does_not_leak(self):
-        from repro.core.kernels import force_backend, make_kernel, resolve_backend
-
-        p = random_placement(6, 2, 8, 4)
-        with force_backend("python"):
-            assert resolve_backend() == "python"
-            assert make_kernel(p, 1).name == "python"
-            with force_backend("bitset"):
-                assert make_kernel(p, 1).name == "bitset"
-            assert resolve_backend() == "python"
-        # Outside the block the default selection is restored.
-        assert make_kernel(p, 1).name == resolve_backend()
+    def test_greedy_agrees_across_backends(self, each_kernel):
+        p = random_placement(12, 3, 40, 4)
+        result = GreedyAdversary().attack(p, 4, 2, kernel=each_kernel(p, 2))
+        assert result == GreedyAdversary().attack(p, 4, 2)
 
 
 class TestLocalSearchDeterminism:
@@ -216,7 +214,7 @@ class TestLocalSearchDeterminism:
 
 class TestEvaluationAccounting:
     """`evaluations` counts candidate damage evaluations, identically on
-    every backend: greedy step i examines n - i candidates, a polish
+    every kernel: greedy step i examines n - i candidates, a polish
     position n - (k - 1), and warm-start completion only the greedy steps
     that actually run after dropping duplicate/out-of-range seeds."""
 
@@ -236,9 +234,11 @@ class TestEvaluationAccounting:
         pass_cost = 4 * (12 - 3)
         assert (base.evaluations - greedy.evaluations) % pass_cost == 0
 
-    def test_accounting_is_backend_independent(self, each_backend):
+    def test_accounting_is_backend_independent(self, each_kernel):
         p = random_placement(12, 3, 40, 0)
-        result = LocalSearchAdversary(restarts=2, seed=0).attack(p, 4, 2)
+        result = LocalSearchAdversary(restarts=2, seed=0).attack(
+            p, 4, 2, kernel=each_kernel(p, 2)
+        )
         assert result.evaluations == 258
 
     def test_warm_start_duplicates_and_out_of_range(self):
@@ -296,19 +296,22 @@ class TestResultsUnchangedVersusPR1:
             "simple-13-3-26": SimpleStrategy(13, 3, 1).place(26),
         }
 
-    def test_fast_effort_results_pinned(self, each_backend):
+    def test_fast_effort_results_pinned(self, each_kernel):
         placements = self._placements()
         for (label, k, s), (nodes, dmg) in self.PINNED.items():
-            result = best_attack(placements[label], k, s, effort="fast")
+            placement = placements[label]
+            result = best_attack(
+                placement, k, s, effort="fast", kernel=each_kernel(placement, s)
+            )
             assert (tuple(result.nodes), result.damage) == (nodes, dmg), (
-                each_backend, label, k, s, result,
+                label, k, s, result,
             )
 
-    def test_exact_effort_damage_unchanged(self, each_backend):
+    def test_exact_effort_damage_unchanged(self, each_kernel):
         # Tighter pruning (refined_bound) may change how much of the tree
         # branch-and-bound visits, but never the optimum it certifies.
         p = random_placement(10, 3, 30, 3)
-        result = best_attack(p, 3, 2, effort="exact")
+        result = best_attack(p, 3, 2, effort="exact", kernel=each_kernel(p, 2))
         assert result.exact
         assert result.damage == ExhaustiveAdversary().attack(p, 3, 2).damage
 

@@ -17,7 +17,6 @@ from repro.core.batch import (
     engine_for,
     worker_count,
 )
-from repro.core.kernels import BACKENDS, numpy_available
 from repro.core.placement import Placement
 from repro.core.random_placement import RandomStrategy
 from repro.core.simple import SimpleStrategy
@@ -95,15 +94,17 @@ class TestBatchAttack:
         assert [a.damage for a in serial] == [a.damage for a in fanned]
         assert all(a.exact for a in fanned)
 
-    def test_backend_choice_does_not_change_results(self):
+    def test_backend_choice_does_not_change_results(
+        self, monkeypatch, gain_backings
+    ):
         placement = random_placement(12, 3, 40, 7)
         cells = [AttackCell(k, 2, "fast") for k in (2, 3, 4)]
-        backends = [b for b in BACKENDS if b != "numpy" or numpy_available()]
-        per_backend = [
-            batch_attack(placement, cells, backend=name, seed=3)
-            for name in backends
-        ]
-        assert all(result == per_backend[0] for result in per_backend[1:])
+        per_backing = []
+        for backing in gain_backings:
+            monkeypatch.setenv("REPRO_GAIN_BACKING", backing)
+            per_backing.append(batch_attack(placement, cells, seed=3))
+        assert len(per_backing) >= 2
+        assert all(result == per_backing[0] for result in per_backing[1:])
 
 
 class TestAttackGrid:
@@ -147,19 +148,27 @@ class TestWarmEngine:
         assert clone is not placement
         assert engine_for(clone) is engine_for(placement)
 
-    def test_different_backends_get_different_engines(self):
+    def test_different_backends_get_different_engines(self, monkeypatch):
+        # The cache holds one engine per (fingerprint, backing): switching
+        # the backing back returns the engine built under it.
         placement = random_placement(12, 3, 40, 22)
-        assert engine_for(placement, "python") is not engine_for(placement, "bitset")
+        monkeypatch.setenv("REPRO_GAIN_BACKING", "python")
+        python_engine = engine_for(placement)
+        monkeypatch.setenv("REPRO_GAIN_BACKING", "bitset")
+        bitset_engine = engine_for(placement)
+        assert bitset_engine is not python_engine
+        monkeypatch.setenv("REPRO_GAIN_BACKING", "python")
+        assert engine_for(placement) is python_engine
 
     def test_gain_backing_pin_is_honoured_after_warmup(self, monkeypatch):
         # Re-pinning REPRO_GAIN_BACKING mid-process must not silently
         # reuse an engine (and kernels) built under the previous backing.
         placement = random_placement(12, 3, 40, 30)
         monkeypatch.setenv("REPRO_GAIN_BACKING", "bitset")
-        warm = engine_for(placement, "gain")
+        warm = engine_for(placement)
         assert warm.kernel(2).backing == "bitset"
         monkeypatch.setenv("REPRO_GAIN_BACKING", "python")
-        pinned = engine_for(placement, "gain")
+        pinned = engine_for(placement)
         assert pinned is not warm
         assert pinned.kernel(2).backing == "python"
 

@@ -3,8 +3,8 @@
 The contract under test: an engine that absorbed any interleaved sequence
 of object arrivals/departures via ``apply_delta`` is indistinguishable —
 bit-for-bit, ``AttackResult`` equality including evaluation counts — from
-an engine built cold from the resulting placement, across every kernel
-backend and every gain backing available in this environment.
+an engine built cold from the resulting placement, across every gain
+backing available in this environment.
 """
 
 import random
@@ -21,7 +21,6 @@ from repro.core.kernels import (
     DeltaIncidence,
     GAIN_BACKINGS,
     Incidence,
-    numpy_available,
     resolve_gain_backing,
 )
 from repro.core.placement import Placement
@@ -41,15 +40,6 @@ def available_gain_backings():
             continue
         available.append(backing)
     return available
-
-
-def engine_variants():
-    """Every (backend, gain_backing) pair runnable here."""
-    variants = [("gain", backing) for backing in available_gain_backings()]
-    variants += [("bitset", None), ("python", None)]
-    if numpy_available():
-        variants.append(("numpy", None))
-    return variants
 
 
 def random_delta(rng, engine_b, n, r):
@@ -82,7 +72,7 @@ class TestDeltaIncidence:
             ]
             assert list(delta.object_nodes()) == list(cold.object_nodes())
             assert delta.suffix_counts() == cold.suffix_counts()
-            assert delta.suffix_masks() == cold.suffix_masks()
+            assert delta.suffix_flat() == cold.suffix_flat()
             assert current.load_profile() == tuple(
                 Placement.from_replica_sets(
                     current.n, current.replica_sets
@@ -159,14 +149,16 @@ class TestDeltaIncidence:
             delta.apply_delta(removed=[0, 1])  # would empty the placement
 
 
-@pytest.mark.parametrize("backend,backing", engine_variants())
+@pytest.mark.parametrize(
+    "backing", available_gain_backings(), ids=lambda backing: f"gain-{backing}"
+)
 class TestDeltaEngineBitForBit:
     """Delta-updated engines pinned against cold-built ones."""
 
-    def test_interleaved_churn_and_attacks(self, backend, backing):
+    def test_interleaved_churn_and_attacks(self, backing):
         rng = random.Random(202)
         placement = random_placement(13, 3, 36, 2)
-        engine = AttackEngine(placement, backend=backend, gain_backing=backing)
+        engine = AttackEngine(placement, gain_backing=backing)
         attacks = 0
         for step in range(36):
             added, removed = random_delta(rng, engine.placement.b, 13, 3)
@@ -179,14 +171,12 @@ class TestDeltaEngineBitForBit:
                 s = rng.choice((1, 2))
                 effort = "exact" if step % 6 == 5 else "fast"
                 cell = AttackCell(k, s, effort)
-                cold = AttackEngine(
-                    engine.placement, backend=backend, gain_backing=backing
-                )
+                cold = AttackEngine(engine.placement, gain_backing=backing)
                 assert engine.attack(cell, seed=9) == cold.attack(cell, seed=9)
                 attacks += 1
         assert attacks >= 10
 
-    def test_interleaved_churn_and_lane_attacks(self, backend, backing):
+    def test_interleaved_churn_and_lane_attacks(self, backing):
         # Lane clones must snapshot the *current* (delta-rebound) packed
         # state, not the cold build — churn that changes b resizes the
         # state block, so a stale lane replica would read garbage. Every
@@ -194,7 +184,7 @@ class TestDeltaEngineBitForBit:
         # attacked serially.
         rng = random.Random(404)
         placement = random_placement(13, 3, 32, 9)
-        engine = AttackEngine(placement, backend=backend, gain_backing=backing)
+        engine = AttackEngine(placement, gain_backing=backing)
         attacks = 0
         for step in range(24):
             added, removed = random_delta(rng, engine.placement.b, 13, 3)
@@ -204,23 +194,19 @@ class TestDeltaEngineBitForBit:
                 )
             if step % 3 == 2:
                 cell = AttackCell(rng.choice((2, 3)), rng.choice((1, 2)), "fast")
-                cold = AttackEngine(
-                    engine.placement, backend=backend, gain_backing=backing
-                )
+                cold = AttackEngine(engine.placement, gain_backing=backing)
                 assert engine.attack(
                     cell, seed=9, cache=False, lanes=2
                 ) == cold.attack(cell, seed=9, cache=False, lanes=1)
                 attacks += 1
         assert attacks >= 6
 
-    def test_warm_chain_matches_cold(self, backend, backing):
+    def test_warm_chain_matches_cold(self, backing):
         placement = random_placement(12, 3, 30, 3)
-        engine = AttackEngine(placement, backend=backend, gain_backing=backing)
+        engine = AttackEngine(placement, gain_backing=backing)
         engine.apply_delta(added_objects=[[0, 1, 2], [4, 5, 6]],
                            removed_objects=[1, 8])
-        cold = AttackEngine(
-            engine.placement, backend=backend, gain_backing=backing
-        )
+        cold = AttackEngine(engine.placement, gain_backing=backing)
         warm = None
         for k in (2, 3, 4):
             cell = AttackCell(k, 2, "fast")
@@ -256,7 +242,7 @@ class TestDeltaEngineLifecycle:
 
     def test_kernels_survive_deltas_when_rebindable(self):
         placement = random_placement(12, 3, 30, 7)
-        engine = AttackEngine(placement, backend="gain", gain_backing="python")
+        engine = AttackEngine(placement, gain_backing="python")
         engine.apply_delta(added_objects=[[2, 3, 4]])  # upgrade drops kernels
         kernel = engine.kernel(2)
         engine.apply_delta(added_objects=[[5, 6, 7]], removed_objects=[0])

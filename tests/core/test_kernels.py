@@ -1,10 +1,12 @@
-"""Property tests: all damage-kernel backends agree with the legacy oracle.
+"""Property tests: every gain backing agrees with the full-scan oracle.
 
-The three backends (bitset / numpy / python) implement one contract; these
-tests drive them with hypothesis-generated random placements and assert
-they agree with each other and with the reference ``damage()`` function on
-damage evaluation, ``best_addition`` and branch-and-bound optimistic
-bounds. The pure-python kernel doubles as the oracle for the other two.
+The gain kernel's backings (native / numpy / bitset / python) and the
+full-scan :class:`PythonKernel` implement one contract; these tests drive
+them with hypothesis-generated random placements and assert they agree
+with each other and with the reference ``damage()`` function on damage
+evaluation, ``best_addition`` and branch-and-bound optimistic bounds.
+``PythonKernel`` shares no code with the incremental gain tables, so it
+serves as the oracle.
 """
 
 import itertools
@@ -17,20 +19,14 @@ from hypothesis import strategies as st
 from repro.core import native
 from repro.core.adversary import damage
 from repro.core.kernels import (
-    BACKENDS,
     GAIN_BACKINGS,
     Incidence,
-    force_backend,
+    PythonKernel,
     make_kernel,
     numpy_available,
-    resolve_backend,
     resolve_gain_backing,
 )
 from repro.core.random_placement import RandomStrategy
-
-
-def available_backends():
-    return [b for b in BACKENDS if b != "numpy" or numpy_available()]
 
 
 def available_gain_backings():
@@ -47,11 +43,16 @@ def random_placement(n, r, b, seed):
 
 
 def kernels_for(placement, s):
+    """The full-scan oracle first, then one gain kernel per backing."""
     incidence = Incidence(placement)
-    return [
-        make_kernel(placement, s, backend=name, incidence=incidence)
-        for name in available_backends()
+    return [PythonKernel(incidence, s)] + [
+        make_kernel(placement, s, incidence=incidence, gain_backing=backing)
+        for backing in available_gain_backings()
     ]
+
+
+def label(kernel):
+    return "oracle" if isinstance(kernel, PythonKernel) else kernel.backing
 
 
 placements = st.builds(
@@ -74,7 +75,7 @@ class TestDamageAgreement:
         )
         expected = damage(placement, nodes, s)
         for kernel in kernels_for(placement, s):
-            assert kernel.damage_for(nodes) == expected, kernel.name
+            assert kernel.damage_for(nodes) == expected, label(kernel)
 
     @settings(max_examples=25, deadline=None)
     @given(placements, st.data())
@@ -94,7 +95,7 @@ class TestDamageAgreement:
                     hits = kernel.add_node(hits, node)
                     active.append(node)
                 assert kernel.damage_of(hits) == damage(placement, active, s), (
-                    kernel.name
+                    label(kernel)
                 )
 
 
@@ -111,7 +112,7 @@ class TestBestAddition:
         outcomes = []
         for kernel in kernels_for(placement, s):
             hits = kernel.hits_for(base)
-            outcomes.append((kernel.name, kernel.best_addition(hits, banned)))
+            outcomes.append((label(kernel), kernel.best_addition(hits, banned)))
         reference = outcomes[0][1]
         for name, outcome in outcomes[1:]:
             assert outcome == reference, (name, outcomes)
@@ -124,7 +125,7 @@ class TestBestAddition:
         base = data.draw(
             st.permutations(range(placement.n)).map(lambda p: list(p)[:base_size])
         )
-        kernel = make_kernel(placement, s, backend="python")
+        kernel = PythonKernel(Incidence(placement), s)
         hits = kernel.hits_for(base)
         node, best = kernel.best_addition(hits, banned=base)
         assert node not in base
@@ -147,11 +148,11 @@ class TestOptimisticBound:
         base = data.draw(
             st.permutations(range(placement.n)).map(lambda p: list(p)[:base_size])
         )
-        bounds = []
+        bounds = {}
         for kernel in kernels_for(placement, s):
             hits = kernel.hits_for(base)
-            bounds.append(kernel.optimistic_bound(hits, start, slots))
-        assert len(set(bounds)) == 1, dict(zip(available_backends(), bounds))
+            bounds[label(kernel)] = kernel.optimistic_bound(hits, start, slots)
+        assert len(set(bounds.values())) == 1, bounds
         # Soundness: no completion from nodes >= start can beat the bound.
         completions = [
             nodes
@@ -161,11 +162,11 @@ class TestOptimisticBound:
         best_completion = max(
             damage(placement, list(base) + list(extra), s) for extra in completions
         )
-        assert bounds[0] >= best_completion
+        assert bounds["oracle"] >= best_completion
 
 
 class TestGainBackings:
-    """Every gain backing agrees bit-for-bit with the full-scan oracles
+    """Every gain backing agrees bit-for-bit with the full-scan oracle
     under interleaved add/remove/swap sequences — same damages, same
     best_addition outcomes (tie-breaks included), same bounds, and bulk
     rebuilds indistinguishable from replayed incremental updates."""
@@ -174,8 +175,7 @@ class TestGainBackings:
     def _gain_kernels(placement, s, incidence):
         return {
             backing: make_kernel(
-                placement, s, backend="gain", incidence=incidence,
-                gain_backing=backing,
+                placement, s, incidence=incidence, gain_backing=backing
             )
             for backing in available_gain_backings()
         }
@@ -188,7 +188,7 @@ class TestGainBackings:
             st.lists(st.integers(0, placement.n - 1), min_size=1, max_size=10)
         )
         incidence = Incidence(placement)
-        oracle = make_kernel(placement, s, backend="python", incidence=incidence)
+        oracle = PythonKernel(incidence, s)
         kernels = self._gain_kernels(placement, s, incidence)
         states = {name: kernel.empty_hits() for name, kernel in kernels.items()}
         oracle_hits = oracle.empty_hits()
@@ -226,7 +226,7 @@ class TestGainBackings:
             st.permutations(range(placement.n)).map(lambda p: list(p)[:k])
         )
         incidence = Incidence(placement)
-        oracle = make_kernel(placement, s, backend="bitset", incidence=incidence)
+        oracle = PythonKernel(incidence, s)
         oracle_hits = oracle.hits_for(seed_nodes)
         current = oracle.damage_of(oracle_hits)
         banned = set(seed_nodes) - {seed_nodes[0]}
@@ -268,9 +268,8 @@ class TestGainBackings:
             for count in range(min(slots, n - start) + 1)
             for extra in itertools.combinations(range(start, n), count)
         )
-        incidence = Incidence(placement)
-        for name in available_backends():
-            kernel = make_kernel(placement, s, backend=name, incidence=incidence)
+        for kernel in kernels_for(placement, s):
+            name = label(kernel)
             hits = kernel.hits_for(base)
             refined = kernel.refined_bound(hits, start, slots)
             assert refined <= kernel.optimistic_bound(hits, start, slots), name
@@ -280,7 +279,7 @@ class TestGainBackings:
         monkeypatch.setenv("REPRO_GAIN_BACKING", "python")
         assert resolve_gain_backing() == "python"
         placement = random_placement(8, 3, 12, 0)
-        assert make_kernel(placement, 2, backend="gain").backing == "python"
+        assert make_kernel(placement, 2).backing == "python"
         monkeypatch.setenv("REPRO_GAIN_BACKING", "warp-drive")
         with pytest.raises(ValueError):
             resolve_gain_backing()
@@ -288,9 +287,7 @@ class TestGainBackings:
     def test_explicit_backing_argument_wins(self):
         placement = random_placement(8, 3, 12, 0)
         for backing in available_gain_backings():
-            kernel = make_kernel(
-                placement, 2, backend="gain", gain_backing=backing
-            )
+            kernel = make_kernel(placement, 2, gain_backing=backing)
             assert kernel.name == "gain"
             assert kernel.backing == backing
 
@@ -308,43 +305,22 @@ class TestGainBackings:
 
 
 class TestSelection:
-    def test_explicit_backend_names(self):
-        placement = random_placement(8, 3, 12, 0)
-        for name in available_backends():
-            assert make_kernel(placement, 2, backend=name).name == name
-
     def test_unknown_backend_rejected(self):
         placement = random_placement(8, 3, 12, 0)
         with pytest.raises(ValueError):
-            make_kernel(placement, 2, backend="cuda")
+            make_kernel(placement, 2, gain_backing="cuda")
         with pytest.raises(ValueError):
-            resolve_backend("fortran")
+            resolve_gain_backing("fortran")
 
-    def test_env_knob(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "python")
-        assert resolve_backend() == "python"
-        monkeypatch.setenv("REPRO_KERNEL", "nonsense")
-        with pytest.raises(ValueError):
-            resolve_backend()
-
-    def test_force_overrides_env_and_argument(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "bitset")
-        with force_backend("python"):
-            assert resolve_backend("bitset") == "python"
-
-    def test_force_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            with force_backend("gpu"):
-                pass  # pragma: no cover
-
-    def test_auto_is_dependency_free(self):
-        # Whatever auto resolves to must be constructible without numpy.
+    def test_auto_is_dependency_free(self, monkeypatch):
+        # Whatever auto resolves to must be constructible here and now.
+        monkeypatch.delenv("REPRO_GAIN_BACKING", raising=False)
         placement = random_placement(6, 2, 6, 1)
-        backend = resolve_backend("auto")
-        assert backend in BACKENDS
+        kernel = make_kernel(placement, 1)
+        assert kernel.backing in GAIN_BACKINGS
         if not numpy_available():
-            assert backend != "numpy"  # pragma: no cover
-        assert make_kernel(placement, 1, backend=backend).damage_for([0]) >= 0
+            assert kernel.backing != "numpy"  # pragma: no cover
+        assert kernel.damage_for([0]) == damage(placement, [0], 1)
 
     def test_s_validated(self):
         placement = random_placement(8, 3, 12, 2)
@@ -352,13 +328,16 @@ class TestSelection:
             make_kernel(placement, 0)
         with pytest.raises(ValueError):
             make_kernel(placement, placement.r + 1)
+        with pytest.raises(ValueError):
+            PythonKernel(Incidence(placement), 0)
 
     def test_incidence_shared_across_thresholds(self):
         placement = random_placement(8, 3, 12, 3)
         incidence = Incidence(placement)
-        k1 = make_kernel(placement, 1, backend="bitset", incidence=incidence)
-        k2 = make_kernel(placement, 2, backend="bitset", incidence=incidence)
-        assert k1.masks is k2.masks
+        k1 = make_kernel(placement, 1, incidence=incidence, gain_backing="bitset")
+        k2 = make_kernel(placement, 2, incidence=incidence, gain_backing="bitset")
+        assert k1.incidence is k2.incidence
+        assert k1.node_objects is k2.node_objects
         other = random_placement(8, 3, 12, 4)
         with pytest.raises(ValueError):
             make_kernel(other, 1, incidence=incidence)

@@ -75,9 +75,7 @@ class TestLaneBitIdentity:
     @pytest.mark.parametrize("threads", THREAD_COUNTS)
     def test_matrix_matches_serial(self, backing, threads):
         placement = random_placement(14, 3, 42, 7)
-        kernel = make_kernel(
-            placement, 2, backend="gain", gain_backing=backing
-        )
+        kernel = make_kernel(placement, 2, gain_backing=backing)
         with kernel_threads(threads):
             baseline = LocalSearchAdversary(restarts=6, lanes=1).attack(
                 placement, 3, 2, kernel=kernel
@@ -91,9 +89,7 @@ class TestLaneBitIdentity:
     @pytest.mark.parametrize("backing", available_gain_backings())
     def test_warm_start_matches_serial(self, backing):
         placement = random_placement(12, 3, 36, 3)
-        kernel = make_kernel(
-            placement, 2, backend="gain", gain_backing=backing
-        )
+        kernel = make_kernel(placement, 2, gain_backing=backing)
         warm = (0, 5)
         baseline = LocalSearchAdversary(restarts=4, lanes=1).attack(
             placement, 3, 2, kernel=kernel, warm_start=warm
@@ -109,9 +105,7 @@ class TestLaneBitIdentity:
         # One chain (the greedy polish) cannot fill two lanes; width must
         # clamp without changing the certificate.
         placement = random_placement(11, 3, 30, 9)
-        kernel = make_kernel(
-            placement, 2, backend="gain", gain_backing=backing
-        )
+        kernel = make_kernel(placement, 2, gain_backing=backing)
         baseline = LocalSearchAdversary(restarts=0, lanes=1).attack(
             placement, 3, 2, kernel=kernel
         )
@@ -141,9 +135,7 @@ class TestLanesNeverMutateParent:
     @pytest.mark.parametrize("backing", available_gain_backings())
     def test_packed_state_bytes_unchanged(self, backing):
         placement = random_placement(12, 3, 36, 4)
-        kernel = make_kernel(
-            placement, 2, backend="gain", gain_backing=backing
-        )
+        kernel = make_kernel(placement, 2, gain_backing=backing)
         live = kernel.hits_for([1, 4])
         empty_before = kernel.export_state(kernel.empty_hits())
         live_before = kernel.export_state(live)
@@ -168,9 +160,7 @@ class TestLaneChainAccounting:
     @pytest.mark.parametrize("backing", available_gain_backings())
     def test_chain_tuples_match_across_lane_counts(self, backing):
         placement = random_placement(13, 3, 40, 8)
-        kernel = make_kernel(
-            placement, 2, backend="gain", gain_backing=backing
-        )
+        kernel = make_kernel(placement, 2, gain_backing=backing)
         rng = random.Random(23)
         seeds = [rng.sample(range(placement.n), 4) for _ in range(6)]
         serial = kernel.polish_chains(seeds, lanes=1)
@@ -180,12 +170,8 @@ class TestLaneChainAccounting:
     @pytest.mark.parametrize("backing", available_gain_backings())
     def test_backings_agree_on_chain_tuples(self, backing):
         placement = random_placement(11, 3, 30, 2)
-        reference = make_kernel(
-            placement, 2, backend="gain", gain_backing="python"
-        )
-        kernel = make_kernel(
-            placement, 2, backend="gain", gain_backing=backing
-        )
+        reference = make_kernel(placement, 2, gain_backing="python")
+        kernel = make_kernel(placement, 2, gain_backing=backing)
         rng = random.Random(5)
         seeds = [rng.sample(range(placement.n), 3) for _ in range(4)]
         assert kernel.polish_chains(seeds, lanes=2) == reference.polish_chains(
@@ -196,9 +182,7 @@ class TestLaneChainAccounting:
         if not native.available():
             pytest.skip("native kernel unavailable")
         placement = random_placement(10, 3, 24, 1)
-        kernel = make_kernel(
-            placement, 2, backend="gain", gain_backing="native"
-        )
+        kernel = make_kernel(placement, 2, gain_backing="native")
         with pytest.raises(ValueError):
             kernel.polish_chains([[0, 1], [2, 3, 4]], lanes=2)
 

@@ -80,9 +80,7 @@ class TestThreadCountInvariance:
             results = []
             for threads in THREAD_COUNTS:
                 with kernel_threads(threads):
-                    kernel = make_kernel(
-                        placement, s, backend="gain", gain_backing=backing
-                    )
+                    kernel = make_kernel(placement, s, gain_backing=backing)
                     results.append(
                         best_attack(
                             placement,
@@ -113,9 +111,7 @@ class TestThreadCountInvariance:
         snapshots = []
         for threads in THREAD_COUNTS:
             with kernel_threads(threads):
-                kernel = make_kernel(
-                    placement, s, backend="gain", gain_backing="native"
-                )
+                kernel = make_kernel(placement, s, gain_backing="native")
                 hits = kernel.empty_hits()
                 active = []
                 trace = []
@@ -146,9 +142,7 @@ class TestThreadedLargeInstance:
         reference = None
         for threads in THREAD_COUNTS:
             with kernel_threads(threads):
-                kernel = make_kernel(
-                    placement, 2, backend="gain", gain_backing="native"
-                )
+                kernel = make_kernel(placement, 2, gain_backing="native")
                 state = kernel.hits_for([0, 2, 4]).state.tobytes()
             if reference is None:
                 reference = state
@@ -160,9 +154,7 @@ class TestThreadedLargeInstance:
         reference = None
         for threads in THREAD_COUNTS:
             with kernel_threads(threads):
-                kernel = make_kernel(
-                    placement, 2, backend="gain", gain_backing="native"
-                )
+                kernel = make_kernel(placement, 2, gain_backing="native")
                 hits = kernel.hits_for([1, 3])
                 best = kernel.best_addition(hits, banned=[1, 3])
                 nodes = [1, 3]
@@ -187,9 +179,7 @@ class TestThreadedLargeInstance:
         reference = None
         for threads in THREAD_COUNTS:
             with kernel_threads(threads):
-                kernel = make_kernel(
-                    placement, 2, backend="gain", gain_backing="native"
-                )
+                kernel = make_kernel(placement, 2, gain_backing="native")
                 result = best_attack(
                     placement,
                     3,
@@ -211,7 +201,7 @@ class TestDeltaChurnInvariance:
         placement = random_placement(8, 2, 30, 5)
         with kernel_threads(threads):
             engine = AttackEngine(
-                placement, backend="gain", gain_backing=backing
+                placement, gain_backing=backing
             )
             out = [engine.attack(AttackCell(2, 2), cache=False)]
             engine.apply_delta(

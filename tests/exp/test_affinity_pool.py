@@ -1,4 +1,4 @@
-"""Affinity pool: deterministic routing, bit-identity with fork and serial."""
+"""Affinity pool: deterministic routing, bit-identity with serial runs."""
 
 import pytest
 
@@ -8,7 +8,6 @@ from repro.exp.registry import kernel as experiment_kernel
 from repro.exp.runner import (
     _affinity_plan,
     _contiguous_groups,
-    _env_shard_mode,
     run_experiment,
 )
 from repro.exp.store import RunStore
@@ -28,25 +27,6 @@ def _cells_and_groups(spec):
 def _store_bytes(store, spec):
     with open(store.cells_file(spec), "rb") as handle:
         return handle.read()
-
-
-class TestShardModeKnob:
-    def test_default_is_pool(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SHARD_MODE", raising=False)
-        assert _env_shard_mode() == "pool"
-        monkeypatch.setenv("REPRO_SHARD_MODE", "")
-        assert _env_shard_mode() == "pool"
-
-    def test_explicit_modes_parse(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARD_MODE", "fork")
-        assert _env_shard_mode() == "fork"
-        monkeypatch.setenv("REPRO_SHARD_MODE", "pool")
-        assert _env_shard_mode() == "pool"
-
-    def test_garbage_is_rejected_loudly(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARD_MODE", "bogus")
-        with pytest.raises(ValueError, match="REPRO_SHARD_MODE"):
-            run_experiment(_spec(), workers=2)
 
 
 class TestAffinityPlan:
@@ -89,8 +69,7 @@ class TestAffinityPlan:
 
 class TestBitIdentity:
     @pytest.mark.parametrize("workers", (2, 3))
-    def test_pool_matches_serial(self, workers, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARD_MODE", "pool")
+    def test_pool_matches_serial(self, workers, tmp_path):
         spec = _spec()
         serial = run_experiment(
             spec, workers=1, store=RunStore(str(tmp_path / "serial"))
@@ -102,20 +81,6 @@ class TestBitIdentity:
         assert _store_bytes(pool_store, spec) == _store_bytes(
             RunStore(str(tmp_path / "serial")), spec
         )
-
-    def test_pool_and_fork_stores_are_byte_identical(
-        self, tmp_path, monkeypatch
-    ):
-        spec = _spec()
-        monkeypatch.setenv("REPRO_SHARD_MODE", "fork")
-        fork_store = RunStore(str(tmp_path / "fork"))
-        forked = run_experiment(spec, workers=3, store=fork_store)
-        monkeypatch.setenv("REPRO_SHARD_MODE", "pool")
-        pool_store = RunStore(str(tmp_path / "pool"))
-        pooled = run_experiment(spec, workers=3, store=pool_store)
-        assert pooled.result() == forked.result()
-        assert _store_bytes(pool_store, spec) == _store_bytes(fork_store, spec)
-
 
 class TestPoolSupervision:
     def _shard_starts(self, spec):
@@ -129,7 +94,6 @@ class TestPoolSupervision:
     def test_crashed_worker_is_replaced_and_shard_retried(
         self, tmp_path, monkeypatch
     ):
-        monkeypatch.setenv("REPRO_SHARD_MODE", "pool")
         spec = _spec()
         start = self._shard_starts(spec)[1]
         plan = FaultPlan.build([{
@@ -155,7 +119,6 @@ class TestPoolSupervision:
     ):
         # An in-band error posts a result and keeps the persistent worker
         # alive; the shard retries on the same slot after backoff.
-        monkeypatch.setenv("REPRO_SHARD_MODE", "pool")
         spec = _spec()
         start = self._shard_starts(spec)[0]
         plan = FaultPlan.build([{
@@ -176,7 +139,6 @@ class TestPoolSupervision:
         assert _store_bytes(store, spec) == _store_bytes(clean, spec)
 
     def test_hung_pool_worker_trips_the_watchdog(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARD_MODE", "pool")
         spec = _spec()
         start = self._shard_starts(spec)[0]
         plan = FaultPlan.build([{

@@ -1,4 +1,4 @@
-"""Degradation ladder: demotions, auto resolution, forced backend faults."""
+"""Degradation ladder: demotions, auto resolution, forced backing faults."""
 
 import random
 
@@ -8,6 +8,8 @@ from repro import faults
 from repro.core import kernels
 from repro.core.kernels import (
     GAIN_BACKINGS,
+    Incidence,
+    PythonKernel,
     demote_backing,
     demoted_backings,
     make_kernel,
@@ -80,13 +82,13 @@ class TestForcedBackendFault:
         if top == GAIN_BACKINGS[-1]:
             pytest.skip("auto already resolves to the python floor")
         placement = _placement()
-        oracle = make_kernel(placement, 2, backend="python")
+        oracle = PythonKernel(Incidence(placement), 2)
 
         faults.configure(FaultPlan.build([{
             "site": "kernels.dispatch", "kind": "backend",
             "when": {"hit": 0}, "times": 1,
         }]))
-        kernel = make_kernel(placement, 2, backend="gain")
+        kernel = make_kernel(placement, 2)
         assert top in demoted_backings()
         nodes = [0, 3, 7]
         assert kernel.damage_for(nodes) == oracle.damage_for(nodes)
@@ -96,20 +98,20 @@ class TestForcedBackendFault:
             "site": "kernels.dispatch", "kind": "error",
             "when": {"hit": 0}, "times": 1,
         }]))
-        kernel = make_kernel(_placement(), 2, backend="gain")
+        kernel = make_kernel(_placement(), 2)
         assert demoted_backings() == {}
         assert kernel is not None
 
     def test_persistent_faults_exhaust_the_ladder(self):
         faults.configure(prob_plan(1.0, sites=("kernels.dispatch",)))
         with pytest.raises(RuntimeError, match="after 4 attempts"):
-            make_kernel(_placement(), 2, backend="gain")
+            make_kernel(_placement(), 2)
 
     def test_bad_arguments_propagate_without_demoting(self, monkeypatch):
         """A ValueError is a caller bug, not a broken backing."""
         monkeypatch.delenv("REPRO_GAIN_BACKING", raising=False)
         with pytest.raises(ValueError, match="s"):
-            make_kernel(_placement(), 0, backend="gain")
+            make_kernel(_placement(), 0)
         assert demoted_backings() == {}
 
     def test_explicit_backing_never_silently_degrades(self, monkeypatch):
@@ -122,5 +124,5 @@ class TestForcedBackendFault:
             "site": "kernels.dispatch", "kind": "backend",
         }]))
         with pytest.raises(Exception):
-            make_kernel(_placement(), 2, backend="gain", gain_backing=pinned)
+            make_kernel(_placement(), 2, gain_backing=pinned)
         assert pinned not in demoted_backings()

@@ -127,10 +127,18 @@ class TestWatchdog:
         ) as handle:
             assert handle.read() == chaos_bytes
 
-    def test_bad_timeout_env_is_rejected_loudly(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARD_TIMEOUT", "soon")
+    @pytest.mark.parametrize("raw", ["soon", "nan", "inf"])
+    def test_bad_timeout_env_is_rejected_loudly(self, monkeypatch, raw):
+        monkeypatch.setenv("REPRO_SHARD_TIMEOUT", raw)
         with pytest.raises(ValueError, match="REPRO_SHARD_TIMEOUT"):
             run_experiment(_spec(), workers=3)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_timeout_argument_is_rejected(self, value):
+        # A NaN deadline never fires: accepting it would silently turn
+        # the watchdog off.
+        with pytest.raises(ValueError, match="shard_timeout"):
+            run_experiment(_spec(), workers=3, shard_timeout=value)
 
     def test_bad_retries_env_is_rejected_loudly(self, monkeypatch):
         monkeypatch.setenv("REPRO_SHARD_RETRIES", "-1")

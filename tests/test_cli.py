@@ -155,7 +155,9 @@ class TestAttackCommand:
         assert "certified optimal: yes" in out
         assert "objects killed:" in out
 
-    def test_batched_k_grid_with_kernel_choice(self, tmp_path, capsys):
+    def test_batched_k_grid_with_kernel_choice(
+        self, tmp_path, capsys, monkeypatch
+    ):
         target = tmp_path / "placement.json"
         main([
             "place", "--strategy", "random",
@@ -163,9 +165,10 @@ class TestAttackCommand:
             "--seed", "1", "--output", str(target),
         ])
         capsys.readouterr()
+        monkeypatch.setenv("REPRO_GAIN_BACKING", "python")
         assert main([
             "attack", str(target), "--k", "2", "--k", "3", "--s", "2",
-            "--effort", "exact", "--kernel", "python", "--workers", "1",
+            "--effort", "exact", "--workers", "1",
         ]) == 0
         out = capsys.readouterr().out
         assert "--- k=2 ---" in out

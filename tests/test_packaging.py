@@ -1,5 +1,6 @@
 """Package metadata: pyproject.toml describes the package the code ships."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -31,3 +32,17 @@ def test_pyproject_layout_and_entry_point():
     assert callable(cli.main)
     assert meta["tool"]["setuptools"]["packages"]["find"]["where"] == ["src"]
     assert set(meta["project"]["optional-dependencies"]) == {"numpy", "scipy"}
+
+
+def test_readme_knob_table_lists_exactly_the_knobs_the_code_reads():
+    knob = re.compile(r"REPRO_[A-Z0-9_]+")
+    read = {
+        name
+        for folder in ("src", "examples")
+        for path in (ROOT / folder).rglob("*.py")
+        for name in knob.findall(path.read_text(encoding="utf-8"))
+    }
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = readme.split("### Environment knobs", 1)[1].split("\n\n", 2)[1]
+    listed = set(re.findall(r"^\| `(REPRO_[A-Z0-9_]+)`", table, re.MULTILINE))
+    assert listed == read
