@@ -8,13 +8,10 @@ Measures the declarative engine on the paper's two simulation sweeps
   loops (pinned bit-identical by ``tests/exp/test_figures_pinned.py``);
 * **sharded**: the same specs through ``run_experiment(workers=N)``.
   Results are bit-identical by construction; only wall-clock changes;
-* **predicted speedup**: shard-level serial timings scheduled
-  longest-processing-time-first onto N virtual workers. On a machine
-  with fewer than N cores the measured sharded time cannot beat serial
-  (the work is CPU-bound), so the record carries both the measurement
-  and the schedule-derived prediction together with ``cpu_count`` —
-  read the measured number when cores >= workers, the predicted one
-  otherwise;
+* **cpu_count** is recorded next to the measurements: on a machine
+  with fewer than N cores the sharded time cannot beat serial (the work
+  is CPU-bound), so the measured speedup only speaks for hosts with
+  cores >= workers;
 * **resume**: a fig2 run interrupted at roughly half its cells, then
   resumed; the record asserts zero completed cells were recomputed and
   that the resumed store is byte-identical to an uninterrupted run.
@@ -80,14 +77,6 @@ def time_sharded(spec, workers):
     return time.perf_counter() - begin, run.metrics
 
 
-def lpt_makespan(durations, machines):
-    """Longest-processing-time-first schedule length on ``machines``."""
-    loads = [0.0] * machines
-    for duration in sorted(durations, reverse=True):
-        loads[loads.index(min(loads))] += duration
-    return max(loads) if loads else 0.0
-
-
 def bench_grid(name, spec, workers):
     serial_seconds, group_seconds, serial_metrics = time_serial(spec)
     sharded_seconds, sharded_metrics = time_sharded(spec, workers)
@@ -95,7 +84,6 @@ def bench_grid(name, spec, workers):
         raise AssertionError(
             f"{name}: sharded metrics diverged from serial metrics"
         )
-    makespan = lpt_makespan(group_seconds, workers)
     return {
         "spec_hash": spec.spec_hash()[:16],
         "cells": len(kernel(spec.experiment).expand(spec)),
@@ -104,8 +92,6 @@ def bench_grid(name, spec, workers):
         "sharded_seconds": round(sharded_seconds, 4),
         "measured_speedup": round(serial_seconds / sharded_seconds, 2),
         "max_shard_seconds": round(max(group_seconds), 4),
-        "predicted_makespan_seconds": round(makespan, 4),
-        "predicted_speedup": round(serial_seconds / makespan, 2),
         "bit_identical": True,
     }
 
@@ -154,10 +140,6 @@ def main() -> int:
     sharded_total = (
         fig2_record["sharded_seconds"] + fig7_record["sharded_seconds"]
     )
-    predicted_total = (
-        fig2_record["predicted_makespan_seconds"]
-        + fig7_record["predicted_makespan_seconds"]
-    )
     report = {
         "workers": workers,
         "cpu_count": os.cpu_count(),
@@ -167,12 +149,10 @@ def main() -> int:
             "serial_seconds": round(serial_total, 4),
             "sharded_seconds": round(sharded_total, 4),
             "measured_speedup": round(serial_total / sharded_total, 2),
-            "predicted_speedup": round(serial_total / predicted_total, 2),
             "note": (
-                "measured_speedup is authoritative when cpu_count >= "
+                "measured_speedup speaks for hosts with cpu_count >= "
                 "workers; on smaller hosts the CPU-bound shards cannot "
-                "overlap and predicted_speedup (LPT schedule of measured "
-                "shard times) is the honest estimate"
+                "overlap"
             ),
         },
         "resume": bench_resume(fig2_spec),

@@ -107,15 +107,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="stop after computing about this many new cells "
                      "(at the next shard boundary), leaving a resumable "
                      "partial run")
-    run.add_argument("--threads", type=int, default=None,
-                     help="native-kernel thread budget for this run, split "
-                     "across --workers processes (default: "
-                     "$REPRO_NATIVE_THREADS/cpu count; results are "
-                     "identical for every value)")
     run.add_argument("--lanes", type=int, default=None,
                      help="polish-chain lane budget for this run, split "
                      "across --workers processes (default: "
-                     "$REPRO_ATTACK_LANES/auto = the thread budget; "
+                     "$REPRO_ATTACK_LANES/auto = the cpu count; "
                      "results are identical for every value)")
     run.add_argument("--chaos", type=str, default=None, metavar="PLAN",
                      help="fault-injection plan: a plan JSON file, inline "
@@ -181,14 +176,11 @@ def build_parser() -> argparse.ArgumentParser:
     attack.add_argument("--no-cache", action="store_true",
                         help="always search, skipping the warm attack-result "
                         "memo (default: $REPRO_ATTACK_CACHE/on)")
-    attack.add_argument("--threads", type=int, default=None,
-                        help="native-kernel thread budget (default: "
-                        "$REPRO_NATIVE_THREADS/cpu count; results are "
-                        "identical for every value)")
     attack.add_argument("--lanes", type=int, default=None,
                         help="polish-chain lane count for restart chains "
-                        "(default: $REPRO_ATTACK_LANES/auto = the thread "
-                        "budget; results are identical for every value)")
+                        "(default: $REPRO_ATTACK_LANES/auto = the cpu "
+                        "count, split across --workers processes; results "
+                        "are identical for every value)")
     attack.add_argument("--mmap", action="store_true",
                         help="memory-map .npz placement rows instead of "
                         "loading them eagerly (lazy page-in at large b)")
@@ -577,7 +569,6 @@ def _run_exp(args) -> int:
             store=store,
             resume=args.resume,
             limit=args.limit,
-            threads=args.threads,
             lanes=args.lanes,
             shard_timeout=args.shard_timeout,
             shard_retries=args.shard_retries,
@@ -715,16 +706,9 @@ def _run_place(args) -> int:
 
 
 def _run_attack(args) -> int:
-    from repro.core import native
     from repro.core.artifact import load_placement
     from repro.core.batch import AttackCell, batch_attack
 
-    if args.threads is not None:
-        if args.threads < 1:
-            print(f"--threads must be >= 1, got {args.threads}",
-                  file=sys.stderr)
-            return 2
-        native.configure_threads(args.threads)
     if args.lanes is not None and args.lanes < 1:
         print(f"--lanes must be >= 1, got {args.lanes}", file=sys.stderr)
         return 2

@@ -50,6 +50,12 @@ can be compared across kernels bit-for-bit.
 Attack results for repeated identical (placement, cell) queries are
 memoized by the batch engine — see ``repro.core.batch`` for the cache
 semantics; the engines here always search when called directly.
+
+The only in-process parallelism is :class:`LocalSearchAdversary`'s
+polish lanes: its independent chains run on replicated gain state
+(``DamageKernel.polish_chains``), as many at once as
+:func:`attack_lanes` allows. Results are bit-identical at any lane
+count.
 """
 
 from __future__ import annotations
@@ -60,7 +66,6 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.core import native as _native
 from repro.core.kernels import DamageKernel, make_kernel
 from repro.core.placement import Placement
 from repro.util.combinatorics import binom
@@ -68,13 +73,14 @@ from repro.util.combinatorics import binom
 # ------------------------- polish-lane budget -------------------------
 #
 # How many local-search polish chains may run concurrently on replicated
-# gain-state lanes (see DamageKernel.polish_chains). Resolution order:
-# explicit lanes= argument > configure_lanes() pin > REPRO_ATTACK_LANES >
-# "auto". Auto shares the native thread budget: the coarse lanes and the
-# fine-grained kernel sweeps draw from the same REPRO_NATIVE_THREADS pool,
-# so a host never ends up oversubscribed by default. Lanes are a pure
-# performance knob — results are bit-identical at any setting — which is
-# why they never join the attack memo key.
+# gain-state lanes (see DamageKernel.polish_chains) — the one in-process
+# parallel layer. Resolution order: explicit lanes= argument >
+# configure_lanes() pin > REPRO_ATTACK_LANES > "auto" (the cpu count).
+# Process fan-out (repro.core.batch, repro.exp.runner) resolves the
+# budget once in the parent and pins an even share in each worker, so a
+# host is never oversubscribed by default. Lanes are a pure performance
+# knob — results are bit-identical at any setting — which is why they
+# never join the attack memo key.
 
 _configured_lanes: Optional[int] = None
 
@@ -82,8 +88,8 @@ _configured_lanes: Optional[int] = None
 def configure_lanes(count: Optional[int]) -> None:
     """Pin the polish-lane budget (None restores the env/auto default).
 
-    Used by the sharded runners to split an explicit lane budget across
-    worker processes, mirroring ``native.configure_threads``.
+    Used by the sharded runners to pin each worker process's share of
+    the budget.
     """
     global _configured_lanes
     if count is not None and int(count) < 1:
@@ -97,7 +103,7 @@ def configured_lanes() -> Optional[int]:
 
 
 def attack_lanes(requested: Optional[int] = None) -> int:
-    """Resolve the lane budget: argument > pin > env > thread budget."""
+    """Resolve the lane budget: argument > pin > env > cpu count."""
     if requested is not None:
         if int(requested) < 1:
             raise ValueError(f"lanes must be >= 1, got {requested}")
@@ -106,14 +112,22 @@ def attack_lanes(requested: Optional[int] = None) -> int:
         return _configured_lanes
     env = os.environ.get("REPRO_ATTACK_LANES", "auto") or "auto"
     if env == "auto":
-        return _native.thread_count()
+        return os.cpu_count() or 1
     try:
-        return max(1, int(env))
+        lanes = int(env)
     except ValueError:
+        lanes = 0
+    if lanes < 1:
         raise ValueError(
             f"REPRO_ATTACK_LANES must be 'auto' or an integer >= 1, "
             f"got {env!r}"
-        ) from None
+        )
+    return lanes
+
+
+def worker_lanes(processes: int, requested: Optional[int] = None) -> int:
+    """Each worker's share when fanning the lane budget out over processes."""
+    return max(1, attack_lanes(requested) // processes)
 
 
 @dataclass(frozen=True)

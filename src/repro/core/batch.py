@@ -51,7 +51,12 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.core.adversary import AttackResult, best_attack
+from repro.core.adversary import (
+    AttackResult,
+    best_attack,
+    configure_lanes,
+    worker_lanes,
+)
 from repro.core.kernels import (
     DamageKernel,
     DeltaIncidence,
@@ -555,10 +560,11 @@ def batch_attack(
     caller-managed generator (serial mode only; used by single-cell
     wrappers that expose an ``rng`` parameter) and disables memoization.
     ``cache`` overrides the ``REPRO_ATTACK_CACHE`` default for this call.
-    ``lanes`` pins the polish-chain lane count; an explicit budget is
-    split across the process fan-out (``max(1, lanes // processes)``)
-    exactly like the kernel thread budget, while the ``auto`` default
-    follows each worker's already-split thread budget for free.
+    ``lanes`` pins the polish-chain lane budget (default:
+    :func:`repro.core.adversary.attack_lanes`). A process fan-out
+    resolves the budget once here and pins ``max(1, budget //
+    processes)`` lanes in each worker, whether the budget came from the
+    argument, ``REPRO_ATTACK_LANES`` or the cpu count.
     """
     cell_list = list(cells)
     _validate_cells(placement, cell_list)
@@ -594,26 +600,19 @@ def batch_attack(
                 for index, attack in chunk:
                     results[index] = attack
         if pending:
-            from repro.core import native
-
             methods = multiprocessing.get_all_start_methods()
             context = multiprocessing.get_context(
                 "fork" if "fork" in methods else None
             )
             processes = min(workers, len(pending))
-            # Split the kernel thread budget across the fan-out so
-            # (workers x kernel threads) never oversubscribes the host.
-            # An explicit lane budget splits the same way; auto lanes
-            # follow each worker's split thread budget on their own.
-            if lanes is not None:
-                lane_budget = max(1, lanes // processes)
-                pending = [
-                    payload[:-1] + (lane_budget,) for payload in pending
-                ]
+            # One lane budget for the whole fan-out: each worker pins
+            # its share, so (workers x lanes) never oversubscribes the
+            # host.
+            pending = [payload[:-1] + (None,) for payload in pending]
             with context.Pool(
                 processes=processes,
-                initializer=native.configure_threads,
-                initargs=(native.worker_thread_budget(processes),),
+                initializer=configure_lanes,
+                initargs=(worker_lanes(processes, lanes),),
             ) as pool:
                 tasks = pool.map(_attack_group_task, pending)
             chunks = [chunk for chunk, _delta in tasks]

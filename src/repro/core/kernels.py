@@ -32,6 +32,11 @@ The ``hits`` objects a kernel hands out are opaque and owned by the
 kernel: ``add_node``/``remove_node`` may mutate their argument and return
 the object to use afterwards. Search engines therefore backtrack with the
 inverse call instead of keeping references to earlier states.
+
+Every kernel call is serial except ``polish_chains``: the native backing
+runs a batch of local-search chains on replicated-state lanes, one
+short-lived thread per lane, and the other backings run the same chains
+in sequence with bit-identical results.
 """
 
 from __future__ import annotations
@@ -742,8 +747,8 @@ class DamageKernel:
         ``lanes`` is the concurrency budget. The generic implementation
         runs the chains sequentially whatever the budget (chains commute,
         so this is bit-identical); the native gain backing overrides it
-        to fan chains out across replicated-state lanes on the worker
-        pool in a single foreign call.
+        to fan chains out across replicated-state lanes, one thread per
+        lane, in a single foreign call.
         """
         return [self.polish_chain(seed) for seed in seeds]
 
@@ -1219,17 +1224,9 @@ class _NativeGainKernel(GainKernel):
     argmax, conditional re-add — in one foreign call, which is what makes
     a LocalSearch sweep kernel-bound rather than interpreter-bound.
     Instances are not thread-safe (they share small scratch buffers);
-    process fan-out via the batch engine is unaffected.
-
-    Every call goes through the ``*_mt`` entry points against the
-    process-wide worker pool (``REPRO_NATIVE_THREADS`` /
-    :func:`repro.core.native.configure_threads`); with a one-thread
-    budget, or below the in-kernel work thresholds, those delegate to the
-    serial loops, and at any thread count the results are bit-identical
-    (per-lane partials merged in index order). ctypes releases the GIL
-    for the duration of each foreign call, so the pool's threads run
-    unimpeded. The pool handle is re-fetched whenever the pool epoch
-    moves (fork, reconfigure) — stale handles are never dereferenced.
+    process fan-out via the batch engine is unaffected. Every call is
+    serial except :meth:`polish_chains`, whose chain batch is the one
+    place the library starts threads.
     """
 
     backing = "native"
@@ -1237,14 +1234,14 @@ class _NativeGainKernel(GainKernel):
     def __init__(self, incidence: Incidence, s: int) -> None:
         super().__init__(incidence, s)
         lib = _native.load()
-        self._add = lib.gk_add_node_mt
-        self._remove = lib.gk_remove_node_mt
-        self._bulk = lib.gk_bulk_build_mt
-        self._best = lib.gk_best_addition_mt
-        self._swap = lib.gk_try_swap_mt
-        self._pass = lib.gk_polish_pass_mt
+        self._add = lib.gk_add_node
+        self._remove = lib.gk_remove_node
+        self._bulk = lib.gk_bulk_build
+        self._best = lib.gk_best_addition
+        self._swap = lib.gk_try_swap
+        self._pass = lib.gk_polish_pass
         self._bound = lib.gk_optimistic_bound
-        self._chains = lib.gk_polish_chains_mt
+        self._chains = lib.gk_polish_chains
         self._lane_alloc = lib.gk_lane_alloc
         self._lane_release = lib.gk_lane_free
         self._lane_handle = None
@@ -1253,17 +1250,7 @@ class _NativeGainKernel(GainKernel):
         self._banned_ptr = _native.i32_ptr(self._banned)
         self._out = array("i", [0])
         self._out_ptr = _native.i32_ptr(self._out)
-        self._pool_handle = None
-        self._pool_seen = -1
         self._bind_model()
-
-    def _pool(self):
-        """The process-wide pool handle, epoch-cached per kernel."""
-        epoch = _native.pool_epoch()
-        if self._pool_seen != epoch:
-            self._pool_handle = _native.current_pool()
-            self._pool_seen = _native.pool_epoch()
-        return self._pool_handle
 
     def _bind_model(self) -> None:
         """(Re)export the CSR model and empty-state template to C."""
@@ -1331,20 +1318,18 @@ class _NativeGainKernel(GainKernel):
             array("i", bytes(4 * (self.b + self.n + 1))), self.b, self.n
         )
         node_arr = array("i", nodes)
-        # Both CSR exports lay object offsets out as the stride-r ramp,
-        # which the threaded rebuild exploits as a contiguous row walk.
         self._bulk(
-            self._model_ref, self._pool(), _native.i32_ptr(node_arr),
-            len(node_arr), self.placement.r, hits.ptr,
+            self._model_ref, _native.i32_ptr(node_arr), len(node_arr),
+            hits.ptr,
         )
         return hits
 
     def add_node(self, hits: _NativeGainHits, node: int) -> _NativeGainHits:
-        self._add(self._model_ref, self._pool(), node, hits.ptr)
+        self._add(self._model_ref, node, hits.ptr)
         return hits
 
     def remove_node(self, hits: _NativeGainHits, node: int) -> _NativeGainHits:
-        self._remove(self._model_ref, self._pool(), node, hits.ptr)
+        self._remove(self._model_ref, node, hits.ptr)
         return hits
 
     def damage_of(self, hits: _NativeGainHits) -> int:
@@ -1355,8 +1340,7 @@ class _NativeGainKernel(GainKernel):
         for node in banned:
             flags[node] = 1
         best = self._best(
-            self._model_ref, self._pool(), hits.ptr, self._banned_ptr,
-            self._out_ptr,
+            self._model_ref, hits.ptr, self._banned_ptr, self._out_ptr
         )
         for node in banned:
             flags[node] = 0
@@ -1369,8 +1353,8 @@ class _NativeGainKernel(GainKernel):
         for banned_node in banned:
             flags[banned_node] = 1
         swapped = self._swap(
-            self._model_ref, self._pool(), node, self._banned_ptr, current,
-            hits.ptr, self._out_ptr,
+            self._model_ref, node, self._banned_ptr, current, hits.ptr,
+            self._out_ptr,
         )
         for banned_node in banned:
             flags[banned_node] = 0
@@ -1384,7 +1368,7 @@ class _NativeGainKernel(GainKernel):
         for node in nodes:
             flags[node] = 1
         improved = self._pass(
-            self._model_ref, self._pool(), hits.ptr, _native.i32_ptr(node_arr),
+            self._model_ref, hits.ptr, _native.i32_ptr(node_arr),
             len(node_arr), self._banned_ptr, current, self._out_ptr,
         )
         final_nodes = node_arr.tolist()
@@ -1434,11 +1418,11 @@ class _NativeGainKernel(GainKernel):
         """Fused chain batch: every chain in one foreign call.
 
         Each lane clones the bound engine's packed state shape and runs
-        chains serially inside (the coarse tasks are the parallelism, so
-        the fine-grained ``_mt`` paths never nest under a lane); up to
-        ``min(lanes, pool width)`` chains run concurrently. Chain i
-        writes only its own output slots, so results are bit-identical
-        to the sequential generic path at any lane count.
+        chains serially inside; ``min(lanes, chains)`` lanes run
+        concurrently, one short-lived thread each (lane 0 on the calling
+        thread). Chain i writes only its own output slots, so results
+        are bit-identical to the sequential generic path at any lane
+        count.
         """
         seeds = [list(seed) for seed in seeds]
         chains = len(seeds)
@@ -1448,19 +1432,13 @@ class _NativeGainKernel(GainKernel):
         if any(len(seed) != k for seed in seeds):
             raise ValueError("polish chains need uniform seed sizes")
         width = min(max(1, lanes), chains)
-        pool = self._pool() if width > 1 else None
-        if pool is None:
-            width = 1
-        else:
-            width = min(width, _native.pool_threads())
         lane_set = self._lane_set(width)
         all_nodes = array("i", [node for seed in seeds for node in seed])
         damages = array("i", bytes(4 * chains))
         passes = array("i", bytes(4 * chains))
         swaps = array("i", bytes(4 * chains))
         self._chains(
-            self._model_ref, pool if width > 1 else None, lane_set,
-            _native.i32_ptr(all_nodes), chains, k,
+            self._model_ref, lane_set, _native.i32_ptr(all_nodes), chains, k,
             _native.i32_ptr(damages), _native.i32_ptr(passes),
             _native.i32_ptr(swaps),
         )

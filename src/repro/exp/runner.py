@@ -278,7 +278,6 @@ def run_experiment(
     store: Optional[Union[RunStore, str]] = None,
     resume: bool = False,
     limit: Optional[int] = None,
-    threads: Optional[int] = None,
     lanes: Optional[int] = None,
     shard_timeout: Optional[float] = None,
     shard_retries: Optional[int] = None,
@@ -294,20 +293,12 @@ def run_experiment(
     a clean resumable prefix (used by budgeted sweeps, the CI smoke job,
     and the resume benchmarks).
 
-    ``threads`` pins the native kernel's thread budget for this run
-    (default: ``REPRO_NATIVE_THREADS`` / cpu count). Sharded runs divide
-    the budget across worker processes, so ``workers x threads`` never
-    oversubscribes the host; results are bit-identical at every
-    (workers, threads) combination — the kernel's threaded paths merge
-    deterministically.
-
-    ``lanes`` pins the adversary's polish-chain lane count for this run
-    (default: ``REPRO_ATTACK_LANES`` / the thread budget). Like the
-    thread budget, an explicit lane budget divides across worker
-    processes (``max(1, lanes // processes)``); the ``auto`` default
-    follows each worker's split thread budget on its own. Lanes are a
-    pure scheduling knob — results are bit-identical at every lane
-    count.
+    ``lanes`` pins the adversary's polish-chain lane budget for this
+    run (default: ``REPRO_ATTACK_LANES`` / the cpu count). Sharded runs
+    resolve the budget once in the parent and pin ``max(1, budget //
+    processes)`` lanes in each worker, so ``workers x lanes`` never
+    oversubscribes the host. Lanes are a pure scheduling knob — results
+    are bit-identical at every (workers, lanes) combination.
 
     Sharded runs are *supervised*: shards run on a persistent
     affinity-routed worker pool with a wall-clock watchdog
@@ -326,7 +317,7 @@ def run_experiment(
     Purely a performance lever — results are bit-identical with or
     without it.
     """
-    from repro.core import adversary, batch, kernels, native
+    from repro.core import adversary, batch, kernels
 
     started = time.perf_counter()
     run_mark = obs.checkpoint()
@@ -337,8 +328,6 @@ def run_experiment(
         raise ValueError(f"workers must be >= 1, got {workers}")
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
-    if threads is not None and threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
     if lanes is not None and lanes < 1:
         raise ValueError(f"lanes must be >= 1, got {lanes}")
     if shard_retries is None:
@@ -408,16 +397,13 @@ def run_experiment(
 
         if workers > 1 and len(pending) > 1:
             _run_sharded_pool(
-                spec, kernel, cells, pending, workers, flush, threads,
-                shard_timeout, shard_retries, lanes,
+                spec, kernel, cells, pending, workers, flush, lanes,
+                shard_timeout, shard_retries,
             )
         else:
-            # Serial run with pinned budgets: configure, compute,
-            # restore the caller's settings.
-            previous_threads = native.configured_threads()
+            # Serial run with a pinned budget: configure, compute,
+            # restore the caller's setting.
             previous_lanes = adversary.configured_lanes()
-            if threads is not None:
-                native.configure_threads(threads)
             if lanes is not None:
                 adversary.configure_lanes(lanes)
             try:
@@ -427,8 +413,6 @@ def run_experiment(
                     )
                     flush(group, chunk)
             finally:
-                if threads is not None:
-                    native.configure_threads(previous_threads)
                 if lanes is not None:
                     adversary.configure_lanes(previous_lanes)
         computed = sum(
@@ -549,15 +533,14 @@ def _bind_to_supervisor() -> None:
 
 def _pool_worker(
     spec_json: str,
-    thread_budget: int,
-    lane_budget: Optional[int],
+    lane_budget: int,
     demotions: Sequence[Tuple[str, str]],
     task_queue: Any,
     result_queue: Any,
 ) -> None:
     """Persistent pool worker: loop shards off the slot queue until told.
 
-    One boot (thread budget, inherited demotions, kernel resolution)
+    One boot (lane budget, inherited demotions, kernel resolution)
     amortizes over every shard the supervisor routes here, and the
     process-local engine cache (:mod:`repro.core.batch`, bounded by
     ``REPRO_ENGINE_CACHE``) survives between shards — that is the whole
@@ -571,13 +554,11 @@ def _pool_worker(
     """
     from queue import Empty
 
-    from repro.core import adversary, kernels, native
+    from repro.core import adversary, kernels
 
     try:
         _bind_to_supervisor()
-        native.configure_threads(thread_budget)
-        if lane_budget is not None:
-            adversary.configure_lanes(lane_budget)
+        adversary.configure_lanes(lane_budget)
         for backing, reason in demotions:
             try:
                 kernels.demote_backing(backing, reason)
@@ -683,8 +664,8 @@ def _affinity_plan(spec, kernel, cells, pending, slots) -> List[List[int]]:
 
 
 def _run_sharded_pool(
-    spec, kernel, cells, pending, workers, flush, threads=None,
-    shard_timeout=None, shard_retries=2, lanes=None,
+    spec, kernel, cells, pending, workers, flush, lanes=None,
+    shard_timeout=None, shard_retries=2,
 ) -> int:
     """Persistent-pool shard fan-out; commit in expansion order.
 
@@ -720,16 +701,14 @@ def _run_sharded_pool(
     import multiprocessing
     from queue import Empty
 
-    from repro.core import kernels, native
+    from repro.core import adversary, kernels
 
     spec_json = json.dumps(spec.to_dict())
     spec_hash = spec.spec_hash()
     methods = multiprocessing.get_all_start_methods()
     context = multiprocessing.get_context("fork" if "fork" in methods else None)
     processes = min(workers, len(pending))
-    budget = threads if threads is not None else native.thread_count()
-    per_worker = max(1, budget // processes)
-    lane_budget = max(1, lanes // processes) if lanes is not None else None
+    lane_budget = adversary.worker_lanes(processes, lanes)
 
     result_queue = context.Queue()
     slots = [
@@ -754,7 +733,7 @@ def _run_sharded_pool(
         slot.proc = context.Process(
             target=_pool_worker,
             args=(
-                spec_json, per_worker, lane_budget,
+                spec_json, lane_budget,
                 sorted(kernels.demoted_backings().items()),
                 slot.task_queue, result_queue,
             ),

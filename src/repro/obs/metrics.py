@@ -13,8 +13,8 @@ rules, in priority order:
 * **Deterministic vs ops instruments.** ``deterministic`` instruments
   count *semantic work* — searches run, candidate evaluations, node
   adds/removes/swaps, strikes, cells committed. For a fixed spec and
-  seed their values are bit-identical across gain backings, native
-  thread counts, runner worker counts, and chaos retries that succeed,
+  seed their values are bit-identical across gain backings, polish
+  lane counts, runner worker counts, and chaos retries that succeed,
   which makes them a correctness oracle tests can pin (and the only
   instruments the run-store manifest snapshots). ``ops`` instruments
   describe *how* the work was executed (cache hits, engine builds,
@@ -81,7 +81,7 @@ class Instrument:
 
     name: str
     kind: str  # "counter" | "gauge" | "histogram"
-    deterministic: bool  # pinned across backings/threads/workers/retries
+    deterministic: bool  # pinned across backings/lanes/workers/retries
     always: bool  # records even when metrics are disabled
     description: str
 
@@ -171,7 +171,6 @@ CATALOG: Dict[str, Instrument] = {
            always=True),
         # -- gauges ---------------------------------------------------------
         _g("engine.cache.size", "warm engines currently cached"),
-        _g("native.threads", "configured native kernel thread budget"),
     )
 }
 
@@ -362,7 +361,7 @@ def deterministic_delta(mark: Dict[str, Any]) -> Dict[str, Any]:
     """The manifest-grade snapshot: deterministic instruments only.
 
     Keys are sorted and zero values dropped, so for a fixed spec + seed
-    the returned dict is bit-identical across gain backings, thread
+    the returned dict is bit-identical across gain backings, lane
     counts, worker counts, and chaos retries that succeed.
     """
     delta = delta_since(mark)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.core import native
+from repro.core.adversary import configure_lanes, configured_lanes
 from repro.core.artifact import ArtifactError, load_engine_state
 from repro.core.batch import (
     AttackCell,
@@ -118,13 +119,14 @@ class TestHydratedEqualsColdBuilt:
         assert _attack_all(cold, _grid(placement)) == warm_results
 
     @pytest.mark.skipif(not native.available(), reason="native kernel absent")
-    @pytest.mark.parametrize("threads", (1, 2, 4))
+    @pytest.mark.parametrize("lanes", (1, 2, 4))
     def test_native_thread_count_does_not_change_hydration(
-        self, threads, monkeypatch
+        self, lanes, monkeypatch
     ):
+        # The native library's threads are its polish lanes.
         monkeypatch.setenv("REPRO_GAIN_BACKING", "native")
-        before = native.thread_count()
-        native.configure_threads(threads)
+        before = configured_lanes()
+        configure_lanes(lanes)
         try:
             placement = random_placement(12, 3, 48, 17)
             cold, warm, warm_states, warm_results = _snapshot_round_trip(
@@ -133,7 +135,7 @@ class TestHydratedEqualsColdBuilt:
             assert _packed_states(cold) == warm_states
             assert _attack_all(cold, _grid(placement)) == warm_results
         finally:
-            native.configure_threads(before)
+            configure_lanes(before)
 
 
 def _rewrite_members(path, mutate):

@@ -341,3 +341,45 @@ class TestSelection:
         other = random_placement(8, 3, 12, 4)
         with pytest.raises(ValueError):
             make_kernel(other, 1, incidence=incidence)
+
+
+class TestCompileInfo:
+    @pytest.mark.skipif(
+        not native.available(), reason="native kernel unavailable"
+    )
+    def test_compile_info_records_toolchain(self):
+        info = native.compile_info()
+        assert info is not None
+        assert info["compiler"]
+        assert any(flag in info["flags"] for flag in ("-O3", "-O2"))
+        assert "-pthread" in info["flags"]
+
+    def test_repro_cc_failure_degrades_gracefully(
+        self, monkeypatch, tmp_path
+    ):
+        saved = (
+            native._lib,
+            native._load_attempted,
+            native._load_error,
+            native._compile_info,
+        )
+        native._lib = None
+        native._load_attempted = False
+        native._load_error = None
+        native._compile_info = None
+        monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
+        monkeypatch.setenv("REPRO_CC", "/bin/false")
+        monkeypatch.delenv("REPRO_GAIN_BACKING", raising=False)
+        try:
+            assert not native.available()
+            assert native.compile_info() is None
+            assert native.load_error() is not None
+            # The auto ladder steps past the missing library.
+            assert resolve_gain_backing() != "native"
+        finally:
+            (
+                native._lib,
+                native._load_attempted,
+                native._load_error,
+                native._compile_info,
+            ) = saved

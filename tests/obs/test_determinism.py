@@ -2,7 +2,7 @@
 
 For a fixed spec and seed, the deterministic instrument snapshot (the
 manifest ``"obs"`` record) must be bit-identical across every gain
-backing, native thread count, and worker count — and invariant under
+backing, polish lane count, and worker count — and invariant under
 chaos plans whose retries succeed. Semantic work is a property of the
 experiment, not of the machinery that ran it.
 """
@@ -15,13 +15,14 @@ import pytest
 from repro import faults, obs
 from repro.analysis import fig2
 from repro.core import native
+from repro.core.adversary import configure_lanes, configured_lanes
 from repro.core.batch import clear_attack_caches
 from repro.core.kernels import GAIN_BACKINGS, numpy_available
 from repro.exp.runner import run_experiment
 from repro.exp.store import RunStore
 from repro.sim import LifetimeSimulator, SimConfig
 
-THREAD_COUNTS = (1, 2, 4)
+LANE_COUNTS = (1, 2, 4)
 WORKER_COUNTS = (1, 2)
 
 
@@ -54,15 +55,15 @@ class TestSnapshotIdentity:
     def test_identical_across_backings_threads_workers(self, monkeypatch):
         reference = None
         reference_key = None
-        previous_threads = native.configured_threads()
+        previous_lanes = configured_lanes()
         try:
             for backing in available_gain_backings():
                 monkeypatch.setenv("REPRO_GAIN_BACKING", backing)
-                for threads in THREAD_COUNTS:
-                    native.configure_threads(threads)
+                for lanes in LANE_COUNTS:
+                    configure_lanes(lanes)
                     for workers in WORKER_COUNTS:
                         det = _det_delta(workers)
-                        key = (backing, threads, workers)
+                        key = (backing, lanes, workers)
                         if reference is None:
                             reference, reference_key = det, key
                             assert det["counters"]["attack.searches"] > 0
@@ -71,7 +72,7 @@ class TestSnapshotIdentity:
                                 json.dumps(reference, sort_keys=True)
                             ), (key, reference_key)
         finally:
-            native.configure_threads(previous_threads)
+            configure_lanes(previous_lanes)
 
     def test_invariant_under_absorbed_chaos_retries(self, tmp_path):
         clear_attack_caches()
